@@ -50,6 +50,7 @@ BizaArray::BizaArray(Simulator* sim, std::vector<ZnsDevice*> devices,
       static_cast<double>(data_blocks) * config_.exposed_capacity_ratio);
 
   zones_.resize(static_cast<size_t>(n_));
+  free_zones_.assign(static_cast<size_t>(n_), num_zones_);
   groups_.resize(static_cast<size_t>(n_));
   device_failed_.assign(static_cast<size_t>(n_), false);
   config_.detector.num_channels = dev_config.timing.num_channels;
@@ -74,6 +75,17 @@ BizaArray::BizaArray(Simulator* sim, std::vector<ZnsDevice*> devices,
 
   if (!config_.recover_mode) {
     InitGroups();
+  }
+}
+
+BizaArray::~BizaArray() {
+  // Join handles live in tracked writes, parked requests and other joins'
+  // callbacks (a parked remainder acks through its parent's join). Drop
+  // them all while the join pool is still intact.
+  tracked_.clear();
+  stalled_writes_.clear();
+  for (auto& join : joins_) {
+    join->cb = nullptr;
   }
 }
 
@@ -299,7 +311,7 @@ bool BizaArray::ReplenishGroup(int device, GroupKind kind, bool emergency) {
                      status.ToString().c_str());
       return false;
     }
-    z.use = ZoneUse::kActive;
+    SetZoneUse(device, zone, ZoneUse::kActive);
     z.sched = std::make_unique<ZoneScheduler>(
         devices_[static_cast<size_t>(device)], zone, config_.max_io_retries,
         config_.retry_backoff_base_ns, &stats_.write_retries);
@@ -469,7 +481,7 @@ void BizaArray::MaybeFinishSeal(int device, uint32_t zone) {
     return;
   }
   z.seal_pending = false;
-  z.use = ZoneUse::kSealed;
+  SetZoneUse(device, zone, ZoneUse::kSealed);
   z.sched.reset();  // releases the window bookkeeping; zone is immutable now
   // A newly sealed zone may be the GC victim that parked writes are
   // waiting for.
@@ -543,23 +555,70 @@ void BizaArray::RecordCompletion(int device, uint32_t zone,
 // Write path
 // ---------------------------------------------------------------------------
 
-// Shared completion for all device writes spawned by one block request.
-struct BizaArray::WriteJoin {
-  int pending = 1;
-  BlockTarget::WriteCallback cb;
-  Status first_error;
+void BizaArray::WriteJoin::Release() {
+  if (--pending == 0) {
+    cb(first_error);
+  }
+}
 
-  void Fail(const Status& status) {
-    if (first_error.ok()) {
-      first_error = status;
+void BizaArray::RecycleJoin(WriteJoin* join) {
+  // The callback's captures die with the last handle, after every device
+  // write of the request has completed: GC's MigrateJoin schedules the next
+  // GcStep from its destructor.
+  join->cb = nullptr;
+  join->first_error = OkStatus();
+  join->pending = 1;
+  free_joins_.push_back(join);
+}
+
+BizaArray::JoinRef BizaArray::NewJoin(WriteCallback cb) {
+  if (free_joins_.empty()) {
+    joins_.push_back(std::make_unique<WriteJoin>());
+    joins_.back()->array = this;
+    free_joins_.push_back(joins_.back().get());
+  }
+  WriteJoin* join = free_joins_.back();
+  free_joins_.pop_back();
+  join->cb = std::move(cb);
+  return JoinRef(join);
+}
+
+ZoneScheduler::WriteCallback BizaArray::TrackWrite(const JoinRef& join,
+                                                   bool acked, int device,
+                                                   uint32_t zone,
+                                                   const char* parity_op) {
+  if (free_tracked_.empty()) {
+    free_tracked_.push_back(static_cast<uint32_t>(tracked_.size()));
+    tracked_.emplace_back();
+  }
+  const uint32_t id = free_tracked_.back();
+  free_tracked_.pop_back();
+  tracked_[id] =
+      TrackedWrite{join, acked, sim_->Now(), device, zone, parity_op};
+  return [this, id](const Status& status) { OnTrackedWriteDone(id, status); };
+}
+
+void BizaArray::OnTrackedWriteDone(uint32_t id, const Status& status) {
+  // `w` holds its join until this completion has fully run.
+  const TrackedWrite w = std::move(tracked_[id]);
+  free_tracked_.push_back(id);
+  if (!status.ok()) {
+    if (status.code() == ErrorCode::kUnavailable) {
+      OnDeviceUnavailable(w.device);
+    }
+    if (w.parity_op != nullptr) {
+      BIZA_LOG_ERROR("parity %s failed: %s", w.parity_op,
+                     status.ToString().c_str());
+    }
+    if (w.acked) {
+      w.join->Fail(status);
     }
   }
-  void Release() {
-    if (--pending == 0) {
-      cb(first_error);
-    }
+  RecordCompletion(w.device, w.zone, w.submitted);
+  if (w.acked) {
+    w.join->Release();
   }
-};
+}
 
 void BizaArray::SubmitWrite(uint64_t lbn, std::vector<uint64_t> patterns,
                             WriteCallback cb, WriteTag tag) {
@@ -592,15 +651,14 @@ void BizaArray::DoSubmitWrite(uint64_t lbn, std::vector<uint64_t> gather_lbns,
     cb(OutOfRangeError("biza write beyond exposed capacity"));
     return;
   }
-  cpu_.Charge("biza", config_.costs.request_overhead_ns);
+  cpu_.Charge(cpu_id_, config_.costs.request_overhead_ns);
   const bool is_gc_write =
       tag == WriteTag::kGcData || tag == WriteTag::kGcParity;
   if (!is_gc_write) {
     stats_.user_written_blocks += nblocks;
   }
 
-  auto join = std::make_shared<WriteJoin>();
-  join->cb = std::move(cb);
+  const JoinRef join = NewJoin(std::move(cb));
   if (obs_ != nullptr) {
     const SimTime start = sim_->Now();
     join->cb = [this, start, lbn, nblocks,
@@ -615,40 +673,24 @@ void BizaArray::DoSubmitWrite(uint64_t lbn, std::vector<uint64_t> gather_lbns,
       cb(status);
     };
   }
-  auto release = [join]() { join->Release(); };
 
   bool builder_touched[kNumBuilders] = {};
 
   // Per-device batching of appended chunks: stripes rotate chunks across
   // devices, but per-device allocations within one request stay physically
   // contiguous (sticky zone pick), so each device gets one large write per
-  // request instead of per-4KiB commands.
-  struct Batch {
-    ZoneScheduler* sched = nullptr;
-    uint64_t start = 0;
-    std::vector<uint64_t> patterns;
-    std::vector<OobRecord> oobs;
-  };
-  std::vector<Batch> batches(static_cast<size_t>(n_));
-  auto flush_device_batch = [this, join](int device, Batch& batch) {
+  // request instead of per-4KiB commands. The batches come from a member
+  // scratch; a re-entrant call would find it taken and use a fresh one.
+  std::vector<Batch> batches = std::move(batch_scratch_);
+  batches.resize(static_cast<size_t>(n_));
+  auto flush_device_batch = [this, &join](int device, Batch& batch) {
     if (batch.sched == nullptr) {
       return;
     }
     join->pending++;
-    const uint32_t zone = batch.sched->zone();
-    const SimTime submitted = sim_->Now();
     batch.sched->SubmitWrite(
         batch.start, std::move(batch.patterns), std::move(batch.oobs),
-        [this, join, device, zone, submitted](const Status& status) {
-          if (!status.ok()) {
-            if (status.code() == ErrorCode::kUnavailable) {
-              OnDeviceUnavailable(device);
-            }
-            join->Fail(status);
-          }
-          RecordCompletion(device, zone, submitted);
-          join->Release();
-        });
+        TrackWrite(join, true, device, batch.sched->zone()));
     batch = Batch{};
   };
   auto flush_batch = [&batches, &flush_device_batch, this]() {
@@ -670,7 +712,7 @@ void BizaArray::DoSubmitWrite(uint64_t lbn, std::vector<uint64_t> gather_lbns,
       builder_class = kGcBuilder;
       group = kGroupGcDest;
     } else if (config_.enable_selector) {
-      cpu_.Charge("biza", config_.costs.ghost_cache_op_ns);
+      cpu_.Charge(cpu_id_, config_.costs.ghost_cache_op_ns);
       switch (ghost_[0]->OnWrite(target)) {
         case ChunkTier::kHighProfit:
           group = kGroupZrwa;
@@ -693,7 +735,7 @@ void BizaArray::DoSubmitWrite(uint64_t lbn, std::vector<uint64_t> gather_lbns,
 
     // 2. In-place ZRWA update when both the chunk and its stripe parity are
     //    still inside their sliding windows (§4.1's relaxation).
-    cpu_.Charge("biza", config_.costs.map_lookup_ns);
+    cpu_.Charge(cpu_id_, config_.costs.map_lookup_ns);
     const BmtEntry entry = BmtGet(target);
     // Stripes awaiting rebuild are pinned out-of-place: an in-place update
     // would keep the stale stripe alive and the rebuild sweep could never
@@ -721,24 +763,11 @@ void BizaArray::DoSubmitWrite(uint64_t lbn, std::vector<uint64_t> gather_lbns,
             }
           }
           join->pending++;
-          const int device = PaDevice(entry.pa);
-          const uint32_t zone = dsched->zone();
-          const SimTime submitted = sim_->Now();
           stats_.inplace_updates++;
-          cpu_.Charge("biza", config_.costs.scheduler_op_ns);
+          cpu_.Charge(cpu_id_, config_.costs.scheduler_op_ns);
           dsched->SubmitWrite(
-              doff, {pattern},
-              {OobRecord{target, entry.sn, tag}},
-              [this, join, release, device, zone, submitted](const Status& s) {
-                if (!s.ok()) {
-                  if (s.code() == ErrorCode::kUnavailable) {
-                    OnDeviceUnavailable(device);
-                  }
-                  join->Fail(s);
-                }
-                RecordCompletion(device, zone, submitted);
-                release();
-              });
+              doff, {pattern}, {OobRecord{target, entry.sn, tag}},
+              TrackWrite(join, true, PaDevice(entry.pa), dsched->zone()));
           for (int b = 0; b < kNumBuilders; ++b) {
             if (&builders_[b] == owner) {
               builder_touched[b] = true;
@@ -763,26 +792,14 @@ void BizaArray::DoSubmitWrite(uint64_t lbn, std::vector<uint64_t> gather_lbns,
           const uint64_t old_data = dsched->PatternAt(doff);
           const int slot =
               m_ == 1 ? 0 : geometry_.DataSlotOf(entry.sn, PaDevice(entry.pa));
-          cpu_.Charge("biza", config_.costs.parity_xor_ns_per_kib *
-                                  (kBlockSize / kKiB) *
-                                  static_cast<SimTime>(m_));
+          cpu_.Charge(cpu_id_, config_.costs.parity_xor_ns_per_kib *
+                                   (kBlockSize / kKiB) *
+                                   static_cast<SimTime>(m_));
           stats_.inplace_updates++;
-          const int ddev = PaDevice(entry.pa);
-          const uint32_t dzone = dsched->zone();
-          const SimTime submitted = sim_->Now();
           join->pending += 1 + m_;
           dsched->SubmitWrite(
               doff, {pattern}, {OobRecord{target, entry.sn, tag}},
-              [this, join, release, ddev, dzone, submitted](const Status& s) {
-                if (!s.ok()) {
-                  if (s.code() == ErrorCode::kUnavailable) {
-                    OnDeviceUnavailable(ddev);
-                  }
-                  join->Fail(s);
-                }
-                RecordCompletion(ddev, dzone, submitted);
-                release();
-              });
+              TrackWrite(join, true, PaDevice(entry.pa), dsched->zone()));
           for (int row = 0; row < m_; ++row) {
             const uint64_t ppa = SmtAt(entry.sn, row);
             ZoneScheduler* psched = SchedOf(ppa);
@@ -794,22 +811,11 @@ void BizaArray::DoSubmitWrite(uint64_t lbn, std::vector<uint64_t> gather_lbns,
                                                    old_data, pattern);
             stats_.parity_inplace_updates++;
             stats_.parity_writes++;
-            const int pdev = PaDevice(ppa);
-            const uint32_t pzone = psched->zone();
             psched->SubmitWrite(
                 poff, {new_parity},
                 {OobRecord{kParityLbnBase | (parity_version_++ & 0xFFFFFFFFULL),
                            entry.sn, WriteTag::kParity}},
-                [this, join, release, pdev, pzone, submitted](const Status& s) {
-                  if (!s.ok()) {
-                    if (s.code() == ErrorCode::kUnavailable) {
-                      OnDeviceUnavailable(pdev);
-                    }
-                    join->Fail(s);
-                  }
-                  RecordCompletion(pdev, pzone, submitted);
-                  release();
-                });
+                TrackWrite(join, true, PaDevice(ppa), psched->zone()));
           }
           continue;
         }
@@ -880,7 +886,7 @@ void BizaArray::DoSubmitWrite(uint64_t lbn, std::vector<uint64_t> gather_lbns,
       // its content survives only XOR-ed into the stripe parity, and the
       // write may not be acknowledged until that parity is durable. The
       // phantom PA routes later reads of this chunk to the degraded path.
-      cpu_.Charge("biza", config_.costs.map_update_ns);
+      cpu_.Charge(cpu_id_, config_.costs.map_update_ns);
       InvalidateChunk(target);
       const uint64_t pa = PhantomPa(device);
       BmtSet(target, BmtEntry{pa, builder.sn});
@@ -955,7 +961,7 @@ void BizaArray::DoSubmitWrite(uint64_t lbn, std::vector<uint64_t> gather_lbns,
     const uint64_t off = sched->Allocate(1);
     const uint64_t pa = MakePa(device, sched->zone(), off, zone_cap_);
 
-    cpu_.Charge("biza", config_.costs.map_update_ns);
+    cpu_.Charge(cpu_id_, config_.costs.map_update_ns);
     InvalidateChunk(target);
     BmtSet(target, BmtEntry{pa, builder.sn});
     ZoneOf(device, sched->zone()).valid++;
@@ -965,7 +971,7 @@ void BizaArray::DoSubmitWrite(uint64_t lbn, std::vector<uint64_t> gather_lbns,
     builder.patterns.push_back(pattern);
     builder.lbns.push_back(target);
     stats_.appended_chunks++;
-    cpu_.Charge("biza", config_.costs.scheduler_op_ns);
+    cpu_.Charge(cpu_id_, config_.costs.scheduler_op_ns);
 
     // Batch contiguous writes per device.
     Batch& dev_batch = batches[static_cast<size_t>(device)];
@@ -991,6 +997,7 @@ void BizaArray::DoSubmitWrite(uint64_t lbn, std::vector<uint64_t> gather_lbns,
     }
   }
   flush_batch();
+  batch_scratch_ = std::move(batches);
 
   // Partial parities for builders this request touched and left open.
   for (int b = 0; b < kNumBuilders; ++b) {
@@ -1019,15 +1026,15 @@ std::vector<uint64_t> BizaArray::ComputeParities(
 }
 
 void BizaArray::WriteStripeParity(StripeBuilder& builder, WriteTag tag,
-                                  const std::shared_ptr<WriteJoin>& join) {
-  cpu_.Charge("biza", config_.costs.parity_xor_ns_per_kib *
-                          (kBlockSize / kKiB) * static_cast<SimTime>(m_));
+                                  const JoinRef& join) {
+  cpu_.Charge(cpu_id_, config_.costs.parity_xor_ns_per_kib *
+                           (kBlockSize / kKiB) * static_cast<SimTime>(m_));
   const std::vector<uint64_t> parities = ComputeParities(builder.patterns);
   const bool final = static_cast<int>(builder.patterns.size()) == k_;
   // A degraded stripe's phantom chunks live ONLY in the parity, so the
   // user's write acknowledgement must additionally wait for parity
   // durability; healthy-stripe acks keep their original timing.
-  const bool join_parity = join != nullptr && builder.degraded;
+  const bool join_parity = builder.degraded;
 
   for (int row = 0; row < m_; ++row) {
     stats_.parity_writes++;
@@ -1053,28 +1060,12 @@ void BizaArray::WriteStripeParity(StripeBuilder& builder, WriteTag tag,
       // Partial parity refresh absorbed in ZRWA (§4.2: partial parities
       // always get the ZRWA without consulting the ghost caches).
       stats_.parity_inplace_updates++;
-      const uint32_t zone = psched->zone();
-      const SimTime submitted = sim_->Now();
       if (join_parity) {
         join->pending++;
       }
-      psched->SubmitWrite(
-          poff, {parity}, {oob},
-          [this, pdevice, zone, submitted, join, join_parity](const Status& s) {
-            if (!s.ok()) {
-              if (s.code() == ErrorCode::kUnavailable) {
-                OnDeviceUnavailable(pdevice);
-              }
-              BIZA_LOG_ERROR("parity update failed: %s", s.ToString().c_str());
-            }
-            RecordCompletion(pdevice, zone, submitted);
-            if (join_parity) {
-              if (!s.ok()) {
-                join->Fail(s);
-              }
-              join->Release();
-            }
-          });
+      psched->SubmitWrite(poff, {parity}, {oob},
+                          TrackWrite(join, join_parity, pdevice,
+                                     psched->zone(), "update"));
     } else {
       if (ppa != kInvalidPa) {
         InvalidatePa(ppa);
@@ -1092,28 +1083,12 @@ void BizaArray::WriteStripeParity(StripeBuilder& builder, WriteTag tag,
       const uint64_t off = sched->Allocate(1);
       ppa = MakePa(pdevice, sched->zone(), off, zone_cap_);
       ZoneOf(pdevice, sched->zone()).valid++;
-      const uint32_t zone = sched->zone();
-      const SimTime submitted = sim_->Now();
       if (join_parity) {
         join->pending++;
       }
-      sched->SubmitWrite(
-          off, {parity}, {oob},
-          [this, pdevice, zone, submitted, join, join_parity](const Status& s) {
-            if (!s.ok()) {
-              if (s.code() == ErrorCode::kUnavailable) {
-                OnDeviceUnavailable(pdevice);
-              }
-              BIZA_LOG_ERROR("parity write failed: %s", s.ToString().c_str());
-            }
-            RecordCompletion(pdevice, zone, submitted);
-            if (join_parity) {
-              if (!s.ok()) {
-                join->Fail(s);
-              }
-              join->Release();
-            }
-          });
+      sched->SubmitWrite(off, {parity}, {oob},
+                         TrackWrite(join, join_parity, pdevice, sched->zone(),
+                                    "write"));
     }
     SmtSet(builder.sn, row, ppa);
   }
@@ -1132,7 +1107,7 @@ void BizaArray::SubmitRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb) {
     cb(OutOfRangeError("biza read beyond exposed capacity"), {});
     return;
   }
-  cpu_.Charge("biza", config_.costs.request_overhead_ns);
+  cpu_.Charge(cpu_id_, config_.costs.request_overhead_ns);
   stats_.user_read_blocks += nblocks;
 
   struct ReadState {
@@ -1166,7 +1141,7 @@ void BizaArray::SubmitRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb) {
 
   uint64_t i = 0;
   while (i < nblocks) {
-    cpu_.Charge("biza", config_.costs.map_lookup_ns);
+    cpu_.Charge(cpu_id_, config_.costs.map_lookup_ns);
     const BmtEntry entry = BmtGet(lbn + i);
     if (entry.pa == kInvalidPa) {
       state->out[i] = 0;
@@ -1179,8 +1154,8 @@ void BizaArray::SubmitRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb) {
       // chunks (degraded writes) are ALWAYS read this way — they were never
       // written anywhere and exist only XOR-ed into the parity.
       stats_.degraded_reads++;
-      cpu_.Charge("biza", config_.costs.parity_xor_ns_per_kib *
-                              (kBlockSize / kKiB) * static_cast<SimTime>(k_));
+      cpu_.Charge(cpu_id_, config_.costs.parity_xor_ns_per_kib *
+                               (kBlockSize / kKiB) * static_cast<SimTime>(k_));
       const uint64_t out_at = i;
       state->pending++;
       if (m_ == 1) {
@@ -1677,8 +1652,8 @@ void BizaArray::ReconstructChunk(
     snapshot(SmtAt(entry.sn, row), k_ + row);
   }
   recon->got.assign(recon->sources.size(), 0);
-  cpu_.Charge("biza", config_.costs.parity_xor_ns_per_kib *
-                          (kBlockSize / kKiB) * static_cast<SimTime>(k_));
+  cpu_.Charge(cpu_id_, config_.costs.parity_xor_ns_per_kib *
+                           (kBlockSize / kKiB) * static_cast<SimTime>(k_));
 
   auto finish = [this, recon]() {
     if (--recon->pending != 0) {
@@ -1851,8 +1826,9 @@ Status BizaArray::ReplaceDevice(int device, ZnsDevice* replacement) {
   std::sort(rebuild_queue_.begin(), rebuild_queue_.end());
 
   // Fresh bookkeeping for the (empty) replacement.
-  for (DevZone& z : zones_[static_cast<size_t>(device)]) {
-    z.use = ZoneUse::kFree;
+  for (uint32_t zone = 0; zone < num_zones_; ++zone) {
+    DevZone& z = ZoneOf(device, zone);
+    SetZoneUse(device, zone, ZoneUse::kFree);
     z.valid = 0;
     z.sched.reset();
     z.seal_pending = false;
@@ -2051,14 +2027,31 @@ void BizaArray::FinishRebuild() {
 // Garbage collection with GC avoidance (§4.3)
 // ---------------------------------------------------------------------------
 
+void BizaArray::SetZoneUse(int device, uint32_t zone, ZoneUse use) {
+  DevZone& z = ZoneOf(device, zone);
+  uint64_t& free = free_zones_[static_cast<size_t>(device)];
+  free -= z.use == ZoneUse::kFree ? 1 : 0;
+  free += use == ZoneUse::kFree ? 1 : 0;
+  z.use = use;
+}
+
 uint64_t BizaArray::FreeZonesOf(int device) const {
-  uint64_t free = 0;
-  for (const DevZone& z : zones_[static_cast<size_t>(device)]) {
-    if (z.use == ZoneUse::kFree) {
-      free++;
+  return free_zones_[static_cast<size_t>(device)];
+}
+
+Status BizaArray::CheckFreeZoneCounts() const {
+  for (int d = 0; d < n_; ++d) {
+    uint64_t free = 0;
+    for (const DevZone& z : zones_[static_cast<size_t>(d)]) {
+      free += z.use == ZoneUse::kFree ? 1 : 0;
+    }
+    if (free != FreeZonesOf(d)) {
+      return InternalError("biza: device " + std::to_string(d) + " has " +
+                           std::to_string(free) + " free zones, counter says " +
+                           std::to_string(FreeZonesOf(d)));
     }
   }
-  return free;
+  return OkStatus();
 }
 
 std::pair<int, uint32_t> BizaArray::PickGcVictim() const {
@@ -2145,7 +2138,7 @@ bool BizaArray::ForceSealGarbageZone() {
   }
   z.sched.reset();
   z.seal_pending = false;
-  z.use = ZoneUse::kSealed;
+  SetZoneUse(best_device, best_zone, ZoneUse::kSealed);
   return true;
 }
 
@@ -2265,7 +2258,7 @@ void BizaArray::FinishGcVictim() {
   }
   (void)devices_[static_cast<size_t>(gc_device_)]->ResetZone(gc_victim_zone_);
   detectors_[static_cast<size_t>(gc_device_)]->OnZoneReset(gc_victim_zone_);
-  vz.use = ZoneUse::kFree;
+  SetZoneUse(gc_device_, gc_victim_zone_, ZoneUse::kFree);
   vz.valid = 0;
   vz.epoch++;  // in-flight recons sourcing this zone must now fail validation
   stats_.gc_zone_resets++;
@@ -2701,12 +2694,13 @@ Status BizaArray::Recover() {
       const ZoneInfo info = dev->Report(zone);
       // Anything not EMPTY is sealed (step 0 finished all open zones, so an
       // open-but-never-written zone is now FULL with high_water 0).
-      z.use = info.state == ZoneState::kEmpty ? ZoneUse::kFree
-                                              : ZoneUse::kSealed;
+      SetZoneUse(d, zone,
+                 info.state == ZoneState::kEmpty ? ZoneUse::kFree
+                                                 : ZoneUse::kSealed);
       if (z.use == ZoneUse::kSealed && z.valid == 0) {
         // Fully dead (or empty-finished) zone: reclaim immediately.
         BIZA_RETURN_IF_ERROR(dev->ResetZone(zone));
-        z.use = ZoneUse::kFree;
+        SetZoneUse(d, zone, ZoneUse::kFree);
       }
     }
     for (auto& group : groups_[static_cast<size_t>(d)]) {

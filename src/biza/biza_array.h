@@ -96,7 +96,7 @@ class BizaArray : public BlockTarget {
  public:
   BizaArray(Simulator* sim, std::vector<ZnsDevice*> devices,
             const BizaConfig& config);
-  ~BizaArray() override = default;
+  ~BizaArray() override;
 
   uint64_t capacity_blocks() const override { return exposed_blocks_; }
 
@@ -164,7 +164,11 @@ class BizaArray : public BlockTarget {
 
   // Test hooks.
   uint64_t DebugBmtPa(uint64_t lbn) const;
-  uint64_t FreeZonesOf(int device) const;
+  uint64_t FreeZonesOf(int device) const;  // O(1): a maintained counter
+  // Audit: recounts every device's free zones and compares them with the
+  // counters FreeZonesOf reports. Platform::Quiesce asserts it in builds
+  // with asserts on.
+  Status CheckFreeZoneCounts() const;
 
  private:
   static constexpr uint64_t kInvalidPa = ~0ULL;
@@ -239,9 +243,82 @@ class BizaArray : public BlockTarget {
     bool degraded = false;               // some slot skipped a dead member
   };
 
-  // Shared completion join for all device writes of one block request
-  // (defined in the .cc).
-  struct WriteJoin;
+  // Shared completion join for all device writes of one block request:
+  // the last Release() acks the request. Joins are pooled and reached
+  // through JoinRef handles.
+  struct WriteJoin {
+    BizaArray* array = nullptr;
+    int pending = 1;
+    int holders = 0;  // live JoinRefs
+    WriteCallback cb;
+    Status first_error;
+
+    void Fail(const Status& status) {
+      if (first_error.ok()) {
+        first_error = status;
+      }
+    }
+    void Release();
+  };
+  // Counted handle with shared_ptr semantics minus the allocation: when the
+  // last handle goes, the join's callback is destroyed and the join returns
+  // to the pool. Every in-flight device write of a request (acked or not)
+  // holds one, so the callback's captures outlive all of them — GC joins
+  // schedule their next step from those destructors, and that moment fixes
+  // the order of same-time events.
+  class JoinRef {
+   public:
+    explicit JoinRef(WriteJoin* join = nullptr) : join_(join) {
+      if (join_ != nullptr) {
+        join_->holders++;
+      }
+    }
+    JoinRef(const JoinRef& other) : JoinRef(other.join_) {}
+    JoinRef(JoinRef&& other) noexcept : join_(other.join_) {
+      other.join_ = nullptr;
+    }
+    JoinRef& operator=(JoinRef other) noexcept {
+      std::swap(join_, other.join_);
+      return *this;
+    }
+    ~JoinRef() {
+      if (join_ != nullptr && --join_->holders == 0) {
+        join_->array->RecycleJoin(join_);
+      }
+    }
+    WriteJoin* operator->() const { return join_; }
+
+   private:
+    WriteJoin* join_;
+  };
+  JoinRef NewJoin(WriteCallback cb);
+  void RecycleJoin(WriteJoin* join);
+
+  // One device write of the write path awaiting completion, held in a slab
+  // so the scheduler callback captures 16 bytes and allocates nothing.
+  struct TrackedWrite {
+    JoinRef join;
+    bool acked = false;  // counts toward the join's ack (pending)
+    SimTime submitted = 0;
+    int device = 0;
+    uint32_t zone = 0;
+    const char* parity_op = nullptr;  // "update"/"write": log failures
+  };
+  // Completion for a write to (device, zone) submitted now: feeds the
+  // channel detector / health monitor, flags dead devices and, when
+  // `acked`, fails (on error) and releases `join`.
+  ZoneScheduler::WriteCallback TrackWrite(const JoinRef& join, bool acked,
+                                          int device, uint32_t zone,
+                                          const char* parity_op = nullptr);
+  void OnTrackedWriteDone(uint32_t id, const Status& status);
+
+  // One device's run of contiguous appended chunks within a request.
+  struct Batch {
+    ZoneScheduler* sched = nullptr;
+    uint64_t start = 0;
+    std::vector<uint64_t> patterns;
+    std::vector<OobRecord> oobs;
+  };
 
   // Common body of SubmitWrite / SubmitWriteGather. An empty `gather_lbns`
   // means targets are contiguous from `lbn`; otherwise gather_lbns[i] is the
@@ -251,6 +328,9 @@ class BizaArray : public BlockTarget {
                      WriteTag tag);
 
   ZoneScheduler* SchedOf(uint64_t pa);
+  // Every DevZone::use transition goes through here so the per-device
+  // free-zone counters stay exact.
+  void SetZoneUse(int device, uint32_t zone, ZoneUse use);
   DevZone& ZoneOf(int device, uint32_t zone) {
     return zones_[static_cast<size_t>(device)][zone];
   }
@@ -272,11 +352,11 @@ class BizaArray : public BlockTarget {
   void InvalidatePa(uint64_t pa);
   void InitGroups();
   void InitDeviceGroups(int device);
-  // `join`, when given, makes the ack wait for the parity writes of a
+  // The ack held by `join` also waits for the parity writes of a
   // DEGRADED stripe — a skipped chunk's content lives in parity alone, so
   // acking before parity is durable would lose acknowledged data on a crash.
   void WriteStripeParity(StripeBuilder& builder, WriteTag tag,
-                         const std::shared_ptr<WriteJoin>& join = nullptr);
+                         const JoinRef& join);
 
   // Fault plane.
   // A device is writable when healthy, or while it is the (fresh, empty)
@@ -379,6 +459,7 @@ class BizaArray : public BlockTarget {
   std::vector<uint64_t> ComputeParities(const std::vector<uint64_t>& data) const;
 
   std::vector<std::vector<DevZone>> zones_;          // [device][zone]
+  std::vector<uint64_t> free_zones_;  // [device] zones with use == kFree
   std::vector<std::array<ZoneGroup, kNumGroups>> groups_;  // [device]
   std::vector<std::unique_ptr<GhostCache>> ghost_;   // one (array-wide)
   std::vector<std::unique_ptr<ChannelDetector>> detectors_;  // per device
@@ -387,6 +468,11 @@ class BizaArray : public BlockTarget {
   static constexpr int kNumBuilders = 4;
   static constexpr int kGcBuilder = 3;
   std::array<StripeBuilder, kNumBuilders> builders_;
+  std::vector<Batch> batch_scratch_;  // DoSubmitWrite's per-device batches
+  std::vector<std::unique_ptr<WriteJoin>> joins_;  // every join ever made
+  std::vector<WriteJoin*> free_joins_;
+  std::vector<TrackedWrite> tracked_;
+  std::vector<uint32_t> free_tracked_;
 
   // GC state.
   bool gc_active_ = false;
@@ -431,6 +517,7 @@ class BizaArray : public BlockTarget {
 
   BizaStats stats_;
   CpuAccount cpu_;
+  const CpuAccount::Id cpu_id_ = cpu_.Intern("biza");
 
   DeviceHealthMonitor* health_ = nullptr;
 

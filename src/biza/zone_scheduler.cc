@@ -1,5 +1,6 @@
 #include "src/biza/zone_scheduler.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "src/common/logging.h"
@@ -26,6 +27,9 @@ void ZoneScheduler::GrowTo(uint64_t n) {
   if (pending_.size() >= n) {
     return;
   }
+  // Grow geometrically (bounded by the zone) so single-block allocations
+  // do not resize five vectors each.
+  n = std::min<uint64_t>(capacity_, std::max<uint64_t>(n, 2 * pending_.size()));
   pending_.resize(n, 0);
   inflight_cnt_.resize(n, 0);
   durable_.resize(n, false);
@@ -126,8 +130,18 @@ void ZoneScheduler::SubmitWrite(uint64_t offset,
     pending_[b]++;
   }
   queue_.push_back(std::move(job));
-  AdvanceWindow();
-  Pump();
+  // Every older queued job was ineligible after the last pump, and only a
+  // window slide can change that here: otherwise just try the new job.
+  if (AdvanceWindow()) {
+    Pump();
+  } else {
+    PumpNewest();
+  }
+}
+
+void ZoneScheduler::SetDispatchObserver(
+    std::function<void(uint64_t, uint64_t)> observer) {
+  dispatch_observer_ = std::move(observer);
 }
 
 void ZoneScheduler::SetInflightCap(uint64_t cap) {
@@ -158,11 +172,16 @@ bool ZoneScheduler::CanDispatch(const Job& job) const {
   return true;
 }
 
+bool ZoneScheduler::CapReached() const {
+  return inflight_cap_ != 0 && inflight_ >= inflight_cap_;
+}
+
 void ZoneScheduler::Pump() {
   // Dispatch every queued job that fits the current window. Jobs beyond the
   // window stay queued in FIFO order; within the window arbitrary dispatch
-  // order is safe (see header).
-  for (auto it = queue_.begin(); it != queue_.end();) {
+  // order is safe (see header). A dispatch only ever makes later jobs less
+  // eligible, so once the in-flight cap is reached nothing else can go.
+  for (auto it = queue_.begin(); it != queue_.end() && !CapReached();) {
     if (CanDispatch(*it)) {
       Job job = std::move(*it);
       it = queue_.erase(it);
@@ -170,6 +189,14 @@ void ZoneScheduler::Pump() {
     } else {
       ++it;
     }
+  }
+}
+
+void ZoneScheduler::PumpNewest() {
+  if (!queue_.empty() && CanDispatch(queue_.back())) {
+    Job job = std::move(queue_.back());
+    queue_.pop_back();
+    Dispatch(std::move(job));
   }
 }
 
@@ -184,78 +211,107 @@ void ZoneScheduler::Dispatch(Job job) {
     const int64_t wait =
         static_cast<int64_t>(device_->sim()->Now() - job.enqueued);
     queue_delay_ewma_ns_ += (wait - queue_delay_ewma_ns_) / 8;
+    if (dispatch_observer_) {
+      dispatch_observer_(job.offset, job.patterns.size());
+    }
   }
-  const uint64_t offset = job.offset;
-  const uint64_t n = job.patterns.size();
-  const bool has_oobs = !job.oobs.empty();
-  const int attempts = job.attempts;
-  auto patterns = std::move(job.patterns);
-  auto oobs = std::move(job.oobs);
-  device_->SubmitWrite(
-      zone_, offset, std::move(patterns), std::move(oobs),
-      [this, offset, n, has_oobs, attempts,
-       cb = std::move(job.cb)](const Status& status) mutable {
-        if (IsRetriable(status) && attempts < max_retries_) {
-          // Transient device error: rebuild the job from the retained
-          // per-block patterns/OOBs and re-dispatch after backoff. The
-          // pending_/inflight_ bookkeeping is deliberately NOT released:
-          // the window stays frozen over the failed range (reorder safety
-          // holds across the retry) and Idle() stays false so the zone
-          // cannot be sealed underneath it. A newer in-place update to the
-          // same blocks may have refreshed patterns_/oobs_ meanwhile; the
-          // retry then writes the newer content, which the still-queued
-          // newer job simply rewrites — content converges to newest.
-          if (retry_counter_ != nullptr) {
-            (*retry_counter_)++;
-          }
-          Job retry;
-          retry.offset = offset;
-          retry.attempts = attempts + 1;
-          retry.cb = std::move(cb);
-          const auto first = static_cast<std::ptrdiff_t>(offset);
-          const auto last = static_cast<std::ptrdiff_t>(offset + n);
-          retry.patterns.assign(patterns_.begin() + first,
-                                patterns_.begin() + last);
-          if (has_oobs) {
-            retry.oobs.assign(oobs_.begin() + first, oobs_.begin() + last);
-          }
-          // The backoff timer is host-side work; on a sharded run the
-          // device's sim is a shard clock, so route through the host sim.
-          device_->sim()->host_sim()->Schedule(
-              RetryBackoffNs(attempts, retry_backoff_ns_),
-              [this, retry = std::move(retry)]() mutable {
-                Dispatch(std::move(retry));
-              });
-          return;
-        }
-        inflight_--;
-        for (uint64_t i = 0; i < n; ++i) {
-          pending_[offset + i]--;
-          inflight_cnt_[offset + i]--;
-          durable_[offset + i] = true;
-        }
-        if (!status.ok()) {
-          BIZA_LOG_ERROR("zone %u write at %llu failed: %s", zone_,
-                         static_cast<unsigned long long>(offset),
-                         status.ToString().c_str());
-        }
-        AdvanceWindow();
-        Pump();
-        cb(status);
-      });
+  // The completion's state waits in a slab slot, so the device callback
+  // captures 16 bytes and std::function stores it without allocating.
+  if (free_slots_.empty()) {
+    free_slots_.push_back(static_cast<uint32_t>(slots_.size()));
+    slots_.emplace_back();
+  }
+  const uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  InflightSlot& state = slots_[slot];
+  state.offset = job.offset;
+  state.n = job.patterns.size();
+  state.has_oobs = !job.oobs.empty();
+  state.attempts = job.attempts;
+  state.cb = std::move(job.cb);
+  device_->SubmitWrite(zone_, job.offset, std::move(job.patterns),
+                       std::move(job.oobs),
+                       [this, slot](const Status& status) {
+                         OnDeviceWriteDone(slot, status);
+                       });
 }
 
-void ZoneScheduler::AdvanceWindow() {
+void ZoneScheduler::OnDeviceWriteDone(uint32_t slot, const Status& status) {
+  InflightSlot& state = slots_[slot];
+  const uint64_t offset = state.offset;
+  const uint64_t n = state.n;
+  const bool has_oobs = state.has_oobs;
+  const int attempts = state.attempts;
+  WriteCallback cb = std::move(state.cb);
+  free_slots_.push_back(slot);
+  if (IsRetriable(status) && attempts < max_retries_) {
+    // Transient device error: rebuild the job from the retained per-block
+    // patterns/OOBs and re-dispatch after backoff. The pending_/inflight_
+    // bookkeeping is deliberately NOT released: the window stays frozen
+    // over the failed range (reorder safety holds across the retry) and
+    // Idle() stays false so the zone cannot be sealed underneath it. A
+    // newer in-place update to the same blocks may have refreshed
+    // patterns_/oobs_ meanwhile; the retry then writes the newer content,
+    // which the still-queued newer job simply rewrites — content converges
+    // to newest.
+    if (retry_counter_ != nullptr) {
+      (*retry_counter_)++;
+    }
+    Job retry;
+    retry.offset = offset;
+    retry.attempts = attempts + 1;
+    retry.cb = std::move(cb);
+    const auto first = static_cast<std::ptrdiff_t>(offset);
+    const auto last = static_cast<std::ptrdiff_t>(offset + n);
+    retry.patterns.assign(patterns_.begin() + first, patterns_.begin() + last);
+    if (has_oobs) {
+      retry.oobs.assign(oobs_.begin() + first, oobs_.begin() + last);
+    }
+    // The backoff timer is host-side work; on a sharded run the device's
+    // sim is a shard clock, so route through the host sim.
+    device_->sim()->host_sim()->Schedule(
+        RetryBackoffNs(attempts, retry_backoff_ns_),
+        [this, retry = std::move(retry)]() mutable {
+          Dispatch(std::move(retry));
+        });
+    return;
+  }
+  // A queued job can only have become eligible if the window slid, the
+  // in-flight cap stopped binding, or one of these blocks has no write in
+  // flight any more while a queued job still covers it.
+  bool rescan = CapReached();
+  inflight_--;
+  for (uint64_t i = 0; i < n; ++i) {
+    const uint64_t b = offset + i;
+    pending_[b]--;
+    inflight_cnt_[b]--;
+    durable_[b] = true;
+    rescan = rescan || (inflight_cnt_[b] == 0 && pending_[b] > 0);
+  }
+  if (!status.ok()) {
+    BIZA_LOG_ERROR("zone %u write at %llu failed: %s", zone_,
+                   static_cast<unsigned long long>(offset),
+                   status.ToString().c_str());
+  }
+  if (AdvanceWindow() || rescan) {
+    Pump();
+  }
+  cb(status);
+}
+
+bool ZoneScheduler::AdvanceWindow() {
   // Slide over the completed-contiguous prefix — but only as far as needed
   // to admit the allocation frontier into the window. Durable blocks are
   // kept inside the window as long as possible so they stay updatable in
   // place: this lazy advance IS the ZRWA reservation that absorbs hot
   // updates (§4.2).
+  const uint64_t before = win_start_;
   while (win_start_ < alloc_ptr_ && durable_[win_start_] &&
          pending_[win_start_] == 0 &&
          alloc_ptr_ > win_start_ + zrwa_blocks_) {
     win_start_++;
   }
+  return win_start_ != before;
 }
 
 Status ZoneScheduler::Seal() {

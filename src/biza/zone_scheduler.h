@@ -104,6 +104,10 @@ class ZoneScheduler {
   void SetInflightCap(uint64_t cap);
   uint64_t inflight_cap() const { return inflight_cap_; }
 
+  // Test hook: called with (offset, blocks) whenever a queued job is first
+  // dispatched to the device, in dispatch order. Pass {} to detach.
+  void SetDispatchObserver(std::function<void(uint64_t, uint64_t)> observer);
+
   // True once `offset` holds durable data with no queued or in-flight
   // overwrite — i.e. the on-device pattern equals PatternAt(offset) right
   // now and for as long as no new write is submitted. The reconstruct-around
@@ -134,9 +138,19 @@ class ZoneScheduler {
 
   bool FitsWindow(const Job& job) const;
   bool CanDispatch(const Job& job) const;
+  bool CapReached() const;
+  // Dispatches, in FIFO order, every queued job eligible in one pass. Must
+  // follow any change that can make a queued job eligible (window slide,
+  // in-flight cap relief, completion of a write blocking a queued one), so
+  // that between calls no queued job is eligible.
   void Pump();
+  // Pump for a submit that left the window in place: only the newest job
+  // can be eligible.
+  void PumpNewest();
   void Dispatch(Job job);
-  void AdvanceWindow();
+  void OnDeviceWriteDone(uint32_t slot, const Status& status);
+  // Slides the window; returns whether it moved.
+  bool AdvanceWindow();
   // Extends the per-block vectors to cover [0, n): called from Allocate so
   // resident bookkeeping tracks the allocation frontier, not zone capacity.
   void GrowTo(uint64_t n);
@@ -169,7 +183,18 @@ class ZoneScheduler {
   // from scheduler state instead of copying every job defensively.
   std::vector<OobRecord> oobs_;
   std::deque<Job> queue_;
+  // State of each device write in flight, recycled through free_slots_.
+  struct InflightSlot {
+    uint64_t offset = 0;
+    uint64_t n = 0;
+    bool has_oobs = false;
+    int attempts = 0;
+    WriteCallback cb;
+  };
+  std::vector<InflightSlot> slots_;
+  std::vector<uint32_t> free_slots_;
   int64_t queue_delay_ewma_ns_ = 0;
+  std::function<void(uint64_t, uint64_t)> dispatch_observer_;
 };
 
 }  // namespace biza

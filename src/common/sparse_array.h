@@ -143,9 +143,10 @@ class ChunkedArray {
 
 // Open-addressing hash map from uint64 keys to V. Linear probing, power-of-2
 // capacity, rehash at 7/8 load. Keys are logical block numbers (< 2^40), so
-// the all-ones key doubles as the empty-slot sentinel. Erase is unsupported:
-// engine tables invalidate entries by overwriting the value, never by
-// removing the key.
+// the all-ones key doubles as the empty-slot sentinel. Engine tables
+// invalidate entries by overwriting the value; Erase (backward-shift
+// deletion, no tombstones) serves tables with a bounded, churning key set
+// such as the ghost cache's index.
 template <typename V>
 class SparseTable {
  public:
@@ -204,6 +205,33 @@ class SparseTable {
   }
 
   void Set(uint64_t key, V value) { Upsert(key) = std::move(value); }
+
+  // Removes `key` if present; returns whether it was. Later entries of the
+  // probe run shift back into the hole, so lookups never cross tombstones.
+  // Invalidates pointers returned by Find/Upsert.
+  bool Erase(uint64_t key) {
+    const size_t mask = slots_.size() - 1;
+    size_t hole = Hash(key) & mask;
+    while (slots_[hole].key != key) {
+      if (slots_[hole].key == kEmptyKey) {
+        return false;
+      }
+      hole = (hole + 1) & mask;
+    }
+    for (size_t i = (hole + 1) & mask; slots_[i].key != kEmptyKey;
+         i = (i + 1) & mask) {
+      // Slot i may fill the hole only if its home does not lie cyclically
+      // in (hole, i]: otherwise a probe from home would stop at the hole.
+      const size_t home = Hash(slots_[i].key) & mask;
+      if (((i - home) & mask) >= ((i - hole) & mask)) {
+        slots_[hole] = std::move(slots_[i]);
+        hole = i;
+      }
+    }
+    slots_[hole] = Slot{};
+    size_--;
+    return true;
+  }
 
   // Visits every populated entry in unspecified (but run-deterministic)
   // order. The callback must not insert.

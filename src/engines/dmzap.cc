@@ -94,7 +94,7 @@ void DmZap::SubmitWrite(uint64_t lbn, std::vector<uint64_t> patterns,
     cb(OutOfRangeError("dm-zap write beyond exposed capacity"));
     return;
   }
-  cpu_.Charge("dmzap", config_.costs.request_overhead_ns);
+  cpu_.Charge(cpu_id_, config_.costs.request_overhead_ns);
   if (tag == WriteTag::kData) {
     stats_.user_written_blocks += n;  // note: retried remainders re-count;
                                       // WA reporting uses workload counters
@@ -154,7 +154,7 @@ void DmZap::SubmitWrite(uint64_t lbn, std::vector<uint64_t> patterns,
     job.lbns.resize(take);
     for (uint64_t i = 0; i < take; ++i) {
       const uint64_t target = lbn + done + i;
-      cpu_.Charge("dmzap", config_.costs.map_update_ns);
+      cpu_.Charge(cpu_id_, config_.costs.map_update_ns);
       Invalidate(target);
       l2p_[target] = zone * zone_cap_ + z.wptr + i;
       z.rmap[z.wptr + i] = target;
@@ -193,7 +193,7 @@ void DmZap::PumpZone(uint32_t zone) {
   // zone's previous dispatch — overlapping waiters don't multiply it.
   const SimTime wait = sim_->Now() - job.enqueued_at;
   const SimTime wall = sim_->Now() - z.last_dispatch;
-  cpu_.Charge("dmzap", wait < wall ? wait : wall);
+  cpu_.Charge(cpu_id_, wait < wall ? wait : wall);
   z.last_dispatch = sim_->Now();
   const uint64_t offset = job.offset;
   const WriteTag tag = job.tag;
@@ -237,7 +237,7 @@ void DmZap::SubmitRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb) {
     cb(OutOfRangeError("dm-zap read beyond exposed capacity"), {});
     return;
   }
-  cpu_.Charge("dmzap", config_.costs.request_overhead_ns);
+  cpu_.Charge(cpu_id_, config_.costs.request_overhead_ns);
   stats_.user_read_blocks += nblocks;
 
   struct ReadState {
@@ -252,7 +252,7 @@ void DmZap::SubmitRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb) {
 
   uint64_t i = 0;
   while (i < nblocks) {
-    cpu_.Charge("dmzap", config_.costs.map_lookup_ns);
+    cpu_.Charge(cpu_id_, config_.costs.map_lookup_ns);
     const uint64_t loc = l2p_[lbn + i];
     if (loc == kUnmapped) {
       state->out[i] = 0;  // unwritten blocks read as zero

@@ -125,6 +125,7 @@ class DmZap : public BlockTarget {
 
   DmZapStats stats_;
   CpuAccount cpu_;
+  const CpuAccount::Id cpu_id_ = cpu_.Intern("dmzap");
 };
 
 }  // namespace biza

@@ -100,8 +100,8 @@ bool Mdraid::CanReconstruct(uint64_t stripe) const {
 
 void Mdraid::ReconstructBlock(uint64_t stripe, int child,
                               std::function<void(const Status&, uint64_t)> cb) {
-  cpu_.Charge("mdraid", config_.costs.parity_xor_ns_per_kib *
-                            (kBlockSize / kKiB) * static_cast<SimTime>(k_));
+  cpu_.Charge(cpu_id_, config_.costs.parity_xor_ns_per_kib *
+                           (kBlockSize / kKiB) * static_cast<SimTime>(k_));
   recon_active_[stripe]++;
   struct Recon {
     uint64_t acc = 0;
@@ -199,7 +199,7 @@ void Mdraid::SubmitWrite(uint64_t lbn, std::vector<uint64_t> patterns,
   // array lock and lands in the stripe cache (write-back).
   SimTime lock_done = sim_->Now();
   for (uint64_t i = 0; i < n; ++i) {
-    cpu_.Charge("mdraid", config_.costs.stripe_cache_op_ns);
+    cpu_.Charge(cpu_id_, config_.costs.stripe_cache_op_ns);
     lock_done = lock_.OccupyFor(sim_->Now(), config_.lock_ns_per_page);
     const uint64_t target = lbn + i;
     const uint64_t stripe = StripeOf(target);
@@ -213,7 +213,7 @@ void Mdraid::SubmitWrite(uint64_t lbn, std::vector<uint64_t> patterns,
     entry.patterns[static_cast<size_t>(slot)] = patterns[i];
     TouchLru(stripe);
   }
-  cpu_.Charge("mdraid", config_.costs.request_overhead_ns);
+  cpu_.Charge(cpu_id_, config_.costs.request_overhead_ns);
 
   // Backpressure: above the high watermark kick a flush; if the cache is
   // entirely full, stall the completion until a flush frees space.
@@ -491,9 +491,9 @@ void Mdraid::FlushStripeRun(std::vector<uint64_t> stripes,
         // the failed slot's old value; the new parity now covers it.
         work.patterns[static_cast<size_t>(work.recon_slot)] = work.recon_acc;
       }
-      cpu_.Charge("mdraid",
-                  config_.costs.parity_xor_ns_per_kib * (kBlockSize / kKiB) *
-                      static_cast<SimTime>(k_));
+      cpu_.Charge(cpu_id_,
+                 config_.costs.parity_xor_ns_per_kib * (kBlockSize / kKiB) *
+                     static_cast<SimTime>(k_));
       const uint64_t parity = XorParity(work.patterns);
       for (int slot = 0; slot < k_; ++slot) {
         if (!work.dirty[static_cast<size_t>(slot)]) {
@@ -612,7 +612,7 @@ void Mdraid::SubmitRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb) {
     cb(OutOfRangeError("mdraid read beyond capacity"), {});
     return;
   }
-  cpu_.Charge("mdraid", config_.costs.request_overhead_ns);
+  cpu_.Charge(cpu_id_, config_.costs.request_overhead_ns);
   stats_.user_read_blocks += nblocks;
   if (obs_ != nullptr) {
     const SimTime start = sim_->Now();
@@ -800,9 +800,9 @@ void Mdraid::SubmitRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb) {
       continue;
     }
     // Degraded read: reconstruct from the survivors (k-1 data + parity).
-    cpu_.Charge("mdraid",
-                config_.costs.parity_xor_ns_per_kib * (kBlockSize / kKiB) *
-                    static_cast<SimTime>(k_));
+    cpu_.Charge(cpu_id_,
+               config_.costs.parity_xor_ns_per_kib * (kBlockSize / kKiB) *
+                   static_cast<SimTime>(k_));
     int failed = 0;
     for (int c = 0; c < n_; ++c) {
       if (child_failed_[static_cast<size_t>(c)]) {

@@ -214,6 +214,7 @@ class Mdraid : public BlockTarget {
 
   MdraidStats stats_;
   CpuAccount cpu_;
+  const CpuAccount::Id cpu_id_ = cpu_.Intern("mdraid");
 
   Observability* obs_ = nullptr;
   uint16_t span_write_ = 0;

@@ -96,7 +96,7 @@ void Raizn::SubmitZoneWrite(uint32_t zone, uint64_t offset,
     cb(WriteFailureError("non-sequential logical zone write"));
     return;
   }
-  cpu_.Charge("raizn", config_.costs.request_overhead_ns);
+  cpu_.Charge(cpu_id_, config_.costs.request_overhead_ns);
   stats_.user_written_blocks += n;
   lz.wptr += n;
 
@@ -161,7 +161,7 @@ void Raizn::SubmitZoneWrite(uint32_t zone, uint64_t offset,
     lz.stripe_buf.push_back(patterns[i]);
     if (static_cast<int>(lz.stripe_buf.size()) == k_) {
       // Stripe sealed: write the final parity to the rotating parity drive.
-      cpu_.Charge("raizn", config_.costs.parity_xor_ns_per_kib *
+      cpu_.Charge(cpu_id_, config_.costs.parity_xor_ns_per_kib *
                                (kBlockSize / kKiB));
       const uint64_t parity = XorParity(lz.stripe_buf);
       const int pdrive = geometry_.ParityDrive(gstripe);
@@ -185,7 +185,7 @@ void Raizn::SubmitZoneWrite(uint32_t zone, uint64_t offset,
 
   // Partial tail stripe: persist (or buffer) the partial parity.
   if (!lz.stripe_buf.empty()) {
-    cpu_.Charge("raizn",
+    cpu_.Charge(cpu_id_,
                 config_.costs.parity_xor_ns_per_kib * (kBlockSize / kKiB));
     const uint64_t pp = XorParity(lz.stripe_buf);
     const uint64_t tail_stripe = GlobalStripe(zone, lz.wptr / static_cast<uint64_t>(k_));
@@ -302,7 +302,7 @@ void Raizn::SubmitZoneRead(uint32_t zone, uint64_t offset, uint64_t nblocks,
     cb(OutOfRangeError("bad logical zone read"), {});
     return;
   }
-  cpu_.Charge("raizn", config_.costs.request_overhead_ns);
+  cpu_.Charge(cpu_id_, config_.costs.request_overhead_ns);
 
   struct ReadState {
     std::vector<uint64_t> out;

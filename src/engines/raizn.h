@@ -141,6 +141,7 @@ class Raizn : public ZonedTarget {
 
   RaiznStats stats_;
   CpuAccount cpu_;
+  const CpuAccount::Id cpu_id_ = cpu_.Intern("raizn");
 };
 
 }  // namespace biza

@@ -16,6 +16,8 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "src/common/units.h"
 
@@ -32,19 +34,53 @@ struct CpuCostModel {
   SimTime stripe_cache_op_ns = 350;     // mdraid stripe-cache handling
 };
 
+// Hot paths charge by a small component id (Intern once, Charge(id, ns) is
+// an array add); the name -> ns map is only built for reporting. A component
+// appears in accounts() once charged, even with 0 ns, until Reset().
 class CpuAccount {
  public:
-  void Charge(const std::string& component, SimTime ns) {
-    accounts_[component] += ns;
+  using Id = uint32_t;
+
+  // Returns the id of `component`, registering it on first use. Ids stay
+  // valid across Reset().
+  Id Intern(std::string_view component) {
+    for (Id id = 0; id < slots_.size(); ++id) {
+      if (slots_[id].name == component) {
+        return id;
+      }
+    }
+    slots_.push_back(Slot{std::string(component), 0, false});
+    return static_cast<Id>(slots_.size() - 1);
+  }
+
+  void Charge(Id id, SimTime ns) {
+    Slot& slot = slots_[id];
+    slot.ns += ns;
+    slot.charged = true;
     total_ += ns;
+  }
+  void Charge(std::string_view component, SimTime ns) {
+    Charge(Intern(component), ns);
   }
 
   SimTime total() const { return total_; }
-  SimTime of(const std::string& component) const {
-    auto it = accounts_.find(component);
-    return it == accounts_.end() ? 0 : it->second;
+  SimTime of(std::string_view component) const {
+    for (const Slot& slot : slots_) {
+      if (slot.name == component) {
+        return slot.ns;
+      }
+    }
+    return 0;
   }
-  const std::map<std::string, SimTime>& accounts() const { return accounts_; }
+  std::map<std::string, SimTime> accounts() const {
+    std::map<std::string, SimTime> out;
+    for (const Slot& slot : slots_) {
+      if (slot.charged) {
+        out.emplace(slot.name, slot.ns);
+      }
+    }
+    return out;
+  }
 
   // Average CPU usage in percent of one core over `interval_ns`.
   double UsagePercent(SimTime interval_ns) const {
@@ -55,12 +91,20 @@ class CpuAccount {
   }
 
   void Reset() {
-    accounts_.clear();
+    for (Slot& slot : slots_) {
+      slot.ns = 0;
+      slot.charged = false;
+    }
     total_ = 0;
   }
 
  private:
-  std::map<std::string, SimTime> accounts_;
+  struct Slot {
+    std::string name;
+    SimTime ns = 0;
+    bool charged = false;
+  };
+  std::vector<Slot> slots_;
   SimTime total_ = 0;
 };
 

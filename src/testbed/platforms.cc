@@ -375,6 +375,11 @@ void Platform::Quiesce(Simulator* sim) {
   } else {
     sim->RunUntilIdle();
   }
+  // Builds with asserts on audit the engine's maintained counters at every
+  // quiescent point.
+  if (biza_ != nullptr) {
+    assert(biza_->CheckFreeZoneCounts().ok());
+  }
 }
 
 std::vector<ZnsDevice*> Platform::zns_devices() {

@@ -161,7 +161,7 @@ bool ZapRaid::AppendChunk(int b, uint64_t pattern, OobRecord oob, WriteTag tag,
 
   const bool is_data = (tag == WriteTag::kData || tag == WriteTag::kGcData);
   if (is_data) {
-    cpu_.Charge("zapraid", config_.costs.map_update_ns);
+    cpu_.Charge(cpu_id_, config_.costs.map_update_ns);
     const uint64_t pa = MakePa(device, group, row);
     bool mapped = false;
     if (repoint_from != kInvalidPa) {
@@ -226,8 +226,8 @@ void ZapRaid::CloseRow(int b, WriteTag parity_tag) {
   }
   const uint32_t group = bd.group;
   const uint64_t row = bd.row;
-  cpu_.Charge("zapraid",
-              config_.costs.parity_xor_ns_per_kib * (kBlockSize / 1024));
+  cpu_.Charge(cpu_id_,
+            config_.costs.parity_xor_ns_per_kib * (kBlockSize / 1024));
   const uint64_t parity = XorParity(std::span<const uint64_t>(
       bd.row_patterns.data(), bd.row_patterns.size()));
   if (bd.parity_dev >= 0 && DeviceWritable(bd.parity_dev)) {
@@ -312,7 +312,7 @@ void ZapRaid::SealGroup(int b) {
 
 void ZapRaid::Enqueue(const std::shared_ptr<GroupIo>& io, int device,
                       ChunkOp op) {
-  cpu_.Charge("zapraid", config_.costs.scheduler_op_ns);
+  cpu_.Charge(cpu_id_, config_.costs.scheduler_op_ns);
   io->queues[static_cast<size_t>(device)].q.push_back(std::move(op));
   ++queued_ops_;
   Dispatch(io, device);
@@ -578,7 +578,7 @@ void ZapRaid::SubmitWrite(uint64_t lbn, std::vector<uint64_t> patterns,
     cb(OutOfRangeError("zapraid: write beyond exposed capacity"));
     return;
   }
-  cpu_.Charge("zapraid", config_.costs.request_overhead_ns);
+  cpu_.Charge(cpu_id_, config_.costs.request_overhead_ns);
   stats_.user_written_blocks += patterns.size();
 
   struct WriteJoin {
@@ -747,8 +747,8 @@ void ZapRaid::ReconstructChunk(
   if (meta.parity_dev != target) {
     sources.push_back(meta.parity_dev);
   }
-  cpu_.Charge("zapraid",
-              config_.costs.parity_xor_ns_per_kib * (kBlockSize / 1024));
+  cpu_.Charge(cpu_id_,
+            config_.costs.parity_xor_ns_per_kib * (kBlockSize / 1024));
 
   struct Recon {
     uint64_t acc = 0;
@@ -794,7 +794,7 @@ void ZapRaid::SubmitRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb) {
     cb(OutOfRangeError("zapraid: read beyond exposed capacity"), {});
     return;
   }
-  cpu_.Charge("zapraid", config_.costs.request_overhead_ns);
+  cpu_.Charge(cpu_id_, config_.costs.request_overhead_ns);
   stats_.user_read_blocks += nblocks;
 
   auto join = std::make_shared<ReadJoin>();
@@ -817,7 +817,7 @@ void ZapRaid::SubmitRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb) {
   };
 
   for (uint64_t i = 0; i < nblocks; ++i) {
-    cpu_.Charge("zapraid", config_.costs.map_lookup_ns);
+    cpu_.Charge(cpu_id_, config_.costs.map_lookup_ns);
     const uint64_t cur = lbn + i;
     auto pit = pending_.find(cur);
     if (pit != pending_.end()) {

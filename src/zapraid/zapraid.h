@@ -381,6 +381,7 @@ class ZapRaid : public BlockTarget {
 
   ZapRaidStats stats_;
   CpuAccount cpu_;
+  const CpuAccount::Id cpu_id_ = cpu_.Intern("zapraid");
   DeviceHealthMonitor* health_ = nullptr;
 
   Observability* obs_ = nullptr;

@@ -1,12 +1,205 @@
 // Tests of the ghost-cache chunk classifier (§4.2): LRU admission, HR/HP
-// promotion rules, eviction policies, and attribute prediction.
+// promotion rules, eviction policies, and attribute prediction — plus a
+// differential test of the flat (slab + heap) implementation against an
+// ordered-set reference model.
 #include <gtest/gtest.h>
+
+#include <iterator>
+#include <list>
+#include <set>
+#include <unordered_map>
+#include <utility>
 
 #include "src/biza/ghost_cache.h"
 #include "src/common/rng.h"
 
 namespace biza {
 namespace {
+
+// Reference model: the straightforward unordered_map + std::list +
+// std::set implementation of the same policy, including the rule that a
+// promotion which would lead a full HR cache (and so evict itself) goes
+// straight to HP when its reuse qualifies and otherwise stays in LRU.
+class ReferenceGhostCache {
+ public:
+  explicit ReferenceGhostCache(const GhostCacheConfig& config)
+      : config_(config) {}
+
+  ChunkTier OnWrite(uint64_t key) {
+    clock_++;
+    stats_.lookups++;
+    auto it = nodes_.find(key);
+    if (it == nodes_.end()) {
+      Node node;
+      node.last_clock = clock_;
+      auto inserted = nodes_.emplace(key, node).first;
+      InsertLru(key, inserted->second);
+      return ChunkTier::kTrivial;
+    }
+    Node& node = it->second;
+    switch (node.where) {
+      case Residence::kLru: {
+        stats_.lru_hits++;
+        UpdateAttrs(node);
+        lru_.erase(node.lru_it);
+        if (node.reaccess < config_.promote_reaccess) {
+          lru_.push_front(key);
+          node.lru_it = lru_.begin();
+          return ChunkTier::kTrivial;
+        }
+        const bool to_hp =
+            node.has_reuse &&
+            node.reuse_ewma <= static_cast<double>(config_.hp_reuse_threshold);
+        const std::pair<uint32_t, uint64_t> entry{node.reaccess, key};
+        if (hr_.size() >= config_.hr_entries &&
+            (hr_.empty() || entry < *hr_.begin())) {
+          self_evictions_++;
+          if (!to_hp) {
+            lru_.push_front(key);
+            node.lru_it = lru_.begin();
+            return ChunkTier::kTrivial;
+          }
+          stats_.hr_promotions++;
+          PromoteToHp(key, node);
+          return ChunkTier::kHighProfit;
+        }
+        PromoteToHr(key, node);
+        if (to_hp) {
+          hr_.erase(entry);
+          PromoteToHp(key, node);
+          return ChunkTier::kHighProfit;
+        }
+        return ChunkTier::kHighRevenue;
+      }
+      case Residence::kHr: {
+        hr_.erase({node.reaccess, key});
+        UpdateAttrs(node);
+        if (node.reuse_ewma <=
+            static_cast<double>(config_.hp_reuse_threshold)) {
+          PromoteToHp(key, node);
+          return ChunkTier::kHighProfit;
+        }
+        hr_.insert({node.reaccess, key});
+        return ChunkTier::kHighRevenue;
+      }
+      case Residence::kHp: {
+        hp_.erase({Quantize(node.reuse_ewma), key});
+        UpdateAttrs(node);
+        hp_.insert({Quantize(node.reuse_ewma), key});
+        return ChunkTier::kHighProfit;
+      }
+    }
+    return ChunkTier::kTrivial;
+  }
+
+  ChunkTier TierOf(uint64_t key) const {
+    auto it = nodes_.find(key);
+    if (it == nodes_.end() || it->second.where == Residence::kLru) {
+      return ChunkTier::kTrivial;
+    }
+    return it->second.where == Residence::kHp ? ChunkTier::kHighProfit
+                                              : ChunkTier::kHighRevenue;
+  }
+
+  const GhostCacheStats& stats() const { return stats_; }
+  uint64_t tracked_entries() const { return nodes_.size(); }
+  uint64_t self_evictions() const { return self_evictions_; }
+
+ private:
+  enum class Residence : uint8_t { kLru, kHr, kHp };
+  struct Node {
+    Residence where = Residence::kLru;
+    uint32_t reaccess = 0;
+    double reuse_ewma = 0.0;
+    bool has_reuse = false;
+    uint64_t last_clock = 0;
+    std::list<uint64_t>::iterator lru_it;
+  };
+
+  static uint64_t Quantize(double reuse) {
+    return reuse < 0.0 ? 0 : static_cast<uint64_t>(reuse);
+  }
+
+  void UpdateAttrs(Node& node) {
+    const double reuse = static_cast<double>(clock_ - node.last_clock);
+    node.reaccess++;
+    if (node.has_reuse) {
+      node.reuse_ewma = config_.reuse_ewma_alpha * reuse +
+                        (1.0 - config_.reuse_ewma_alpha) * node.reuse_ewma;
+    } else {
+      node.reuse_ewma = reuse;
+      node.has_reuse = true;
+    }
+    node.last_clock = clock_;
+  }
+
+  void InsertLru(uint64_t key, Node& node) {
+    node.where = Residence::kLru;
+    lru_.push_front(key);
+    node.lru_it = lru_.begin();
+    if (lru_.size() > config_.lru_entries) {
+      const uint64_t victim = lru_.back();
+      lru_.pop_back();
+      nodes_.erase(victim);
+    }
+  }
+
+  void EvictHrIfFull() {
+    if (hr_.size() <= config_.hr_entries) {
+      return;
+    }
+    const uint64_t victim = hr_.begin()->second;
+    hr_.erase(hr_.begin());
+    stats_.lru_demotions++;
+    InsertLru(victim, nodes_.at(victim));
+  }
+
+  void EvictHpIfFull() {
+    if (hp_.size() <= config_.hp_entries) {
+      return;
+    }
+    auto last = std::prev(hp_.end());
+    const uint64_t victim = last->second;
+    hp_.erase(last);
+    Node& node = nodes_.at(victim);
+    node.where = Residence::kHr;
+    hr_.insert({node.reaccess, victim});
+    stats_.hr_demotions++;
+    EvictHrIfFull();
+  }
+
+  void PromoteToHr(uint64_t key, Node& node) {
+    node.where = Residence::kHr;
+    hr_.insert({node.reaccess, key});
+    stats_.hr_promotions++;
+    EvictHrIfFull();
+  }
+
+  void PromoteToHp(uint64_t key, Node& node) {
+    node.where = Residence::kHp;
+    hp_.insert({Quantize(node.reuse_ewma), key});
+    stats_.hp_promotions++;
+    EvictHpIfFull();
+  }
+
+  GhostCacheConfig config_;
+  std::unordered_map<uint64_t, Node> nodes_;
+  std::list<uint64_t> lru_;
+  std::set<std::pair<uint32_t, uint64_t>> hr_;
+  std::set<std::pair<uint64_t, uint64_t>> hp_;
+  uint64_t clock_ = 0;
+  GhostCacheStats stats_;
+  uint64_t self_evictions_ = 0;
+};
+
+void ExpectSameStats(const GhostCacheStats& a, const GhostCacheStats& b) {
+  EXPECT_EQ(a.lookups, b.lookups);
+  EXPECT_EQ(a.lru_hits, b.lru_hits);
+  EXPECT_EQ(a.hr_promotions, b.hr_promotions);
+  EXPECT_EQ(a.hp_promotions, b.hp_promotions);
+  EXPECT_EQ(a.hr_demotions, b.hr_demotions);
+  EXPECT_EQ(a.lru_demotions, b.lru_demotions);
+}
 
 GhostCacheConfig SmallConfig() {
   GhostCacheConfig config;
@@ -205,6 +398,156 @@ TEST_P(GhostMonotonicTest, HotKeyNeverDemotesWithoutPressure) {
 
 INSTANTIATE_TEST_SUITE_P(Interleaves, GhostMonotonicTest,
                          ::testing::Values(0, 1, 5, 20));
+
+// Regression: promoting a key into a full HR cache where it would be the
+// minimum used to evict it straight back onto the LRU list; the caller then
+// moved it on to HP while the stale LRU entry survived, and a later LRU
+// eviction freed a node HP still indexed (abort with asserts on, a segfault
+// without).
+TEST(GhostCache, PromotionIntoFullHrNeverSelfEvicts) {
+  GhostCacheConfig config;
+  config.lru_entries = 64;
+  config.hr_entries = 2;
+  config.hp_entries = 1;
+  config.promote_reaccess = 3;
+  config.hp_reuse_threshold = 10;
+  GhostCache cache(config);
+  uint64_t filler = 1000;
+  auto spacer = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      cache.OnWrite(filler++);
+    }
+  };
+  // Fill HR with two long-reuse keys at reaccess 4.
+  for (int round = 0; round < 5; ++round) {
+    cache.OnWrite(100);
+    cache.OnWrite(101);
+    spacer(20);
+  }
+  ASSERT_EQ(cache.TierOf(100), ChunkTier::kHighRevenue);
+  ASSERT_EQ(cache.TierOf(101), ChunkTier::kHighRevenue);
+  ASSERT_EQ(cache.stats().lru_demotions, 0u);
+
+  // Key 1 crosses the threshold at reaccess 3 with a tiny reuse distance:
+  // (3, 1) would lead the full HR cache, so it must go straight to HP.
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(cache.OnWrite(1), ChunkTier::kTrivial);
+  }
+  EXPECT_EQ(cache.OnWrite(1), ChunkTier::kHighProfit);
+  EXPECT_EQ(cache.TierOf(1), ChunkTier::kHighProfit);
+  EXPECT_EQ(cache.stats().lru_demotions, 0u);
+  EXPECT_EQ(cache.TierOf(100), ChunkTier::kHighRevenue);
+  EXPECT_EQ(cache.TierOf(101), ChunkTier::kHighRevenue);
+
+  // Cycle the whole LRU list: a stale LRU entry of key 1 would be evicted
+  // here and take the node HP still indexes with it.
+  spacer(200);
+  EXPECT_EQ(cache.TierOf(1), ChunkTier::kHighProfit);
+
+  // A second hot key overflows HP (capacity 1): one of the two is demoted
+  // through HR, which then evicts its minimum back to LRU.
+  for (int i = 0; i < 4; ++i) {
+    cache.OnWrite(2);
+  }
+  const int in_hp = (cache.TierOf(1) == ChunkTier::kHighProfit ? 1 : 0) +
+                    (cache.TierOf(2) == ChunkTier::kHighProfit ? 1 : 0);
+  EXPECT_EQ(in_hp, 1);
+  EXPECT_EQ(cache.stats().hr_demotions, 1u);
+  spacer(200);
+  EXPECT_LE(cache.tracked_entries(), config.lru_entries + config.hr_entries +
+                                         config.hp_entries);
+  // Long-reuse variant: a key that would lead the full HR cache and does
+  // not qualify for HP is not admitted; it stays in LRU, still tracked.
+  for (int i = 0; i < 4; ++i) {
+    cache.OnWrite(7);
+    spacer(15);
+  }
+  EXPECT_EQ(cache.TierOf(7), ChunkTier::kTrivial);
+  EXPECT_EQ(cache.stats().lru_demotions, 1u);
+}
+
+struct DiffCase {
+  const char* name;
+  GhostCacheConfig config;
+  uint64_t hot_keys;
+  uint64_t warm_keys;
+  uint64_t cold_keys;
+};
+
+std::vector<DiffCase> DiffCases() {
+  auto make = [](uint64_t lru, uint64_t hr, uint64_t hp, uint32_t promote,
+                 uint64_t threshold, double alpha) {
+    GhostCacheConfig c;
+    c.lru_entries = lru;
+    c.hr_entries = hr;
+    c.hp_entries = hp;
+    c.promote_reaccess = promote;
+    c.hp_reuse_threshold = threshold;
+    c.reuse_ewma_alpha = alpha;
+    return c;
+  };
+  return {
+      {"small", make(64, 16, 4, 3, 100, 0.5), 24, 200, 3000},
+      {"tight_hr", make(256, 8, 8, 3, 300, 0.5), 40, 400, 5000},
+      {"tiny_hp", make(32, 32, 2, 2, 50, 0.25), 16, 100, 2000},
+      {"no_hr", make(64, 0, 4, 3, 100, 0.5), 24, 200, 3000},
+  };
+}
+
+// Differential test: the flat cache and the ordered-set reference agree on
+// every returned tier, on stats(), tracked_entries() and TierOf(), over 1 M
+// seeded writes per configuration that exercise every transition.
+TEST(GhostCache, FlatMatchesOrderedSetReference) {
+  constexpr int kWrites = 1000000;
+  uint64_t total_self_evictions = 0;
+  for (const DiffCase& c : DiffCases()) {
+    SCOPED_TRACE(c.name);
+    GhostCache flat(c.config);
+    ReferenceGhostCache ref(c.config);
+    Rng rng(0xB12A + c.hot_keys);
+    uint64_t lru_to_hr = 0;
+    uint64_t hr_to_hp = 0;
+    const uint64_t keyspace = c.cold_keys;
+    for (int i = 0; i < kWrites; ++i) {
+      const uint64_t dice = rng.Uniform(100);
+      const uint64_t key = dice < 45   ? rng.Uniform(c.hot_keys)
+                           : dice < 80 ? rng.Uniform(c.warm_keys)
+                                       : rng.Uniform(c.cold_keys);
+      const ChunkTier before = ref.TierOf(key);
+      const ChunkTier got = flat.OnWrite(key);
+      const ChunkTier want = ref.OnWrite(key);
+      ASSERT_EQ(got, want) << "write " << i << " key " << key;
+      const ChunkTier after = ref.TierOf(key);
+      lru_to_hr += before == ChunkTier::kTrivial &&
+                   after == ChunkTier::kHighRevenue;
+      hr_to_hp += before == ChunkTier::kHighRevenue &&
+                  after == ChunkTier::kHighProfit;
+      if (i % 4096 == 0) {
+        ASSERT_EQ(flat.tracked_entries(), ref.tracked_entries());
+        for (uint64_t k = 0; k < keyspace; k += 7) {
+          ASSERT_EQ(flat.TierOf(k), ref.TierOf(k)) << "key " << k;
+        }
+      }
+    }
+    ExpectSameStats(flat.stats(), ref.stats());
+    EXPECT_EQ(flat.tracked_entries(), ref.tracked_entries());
+    EXPECT_EQ(flat.clock(), static_cast<uint64_t>(kWrites));
+    for (uint64_t k = 0; k < keyspace; ++k) {
+      ASSERT_EQ(flat.TierOf(k), ref.TierOf(k)) << "key " << k;
+    }
+    // Every tier transition fired: LRU -> HR and HR -> HP on the written
+    // key's own path, HP -> HR and HR -> LRU through evictions.
+    if (c.config.hr_entries > 0) {
+      EXPECT_GT(lru_to_hr, 0u);
+      EXPECT_GT(hr_to_hp, 0u);
+    }
+    EXPECT_GT(ref.stats().hr_demotions, 0u);
+    EXPECT_GT(ref.stats().lru_demotions, 0u);
+    total_self_evictions += ref.self_evictions();
+  }
+  // The promotion-into-full-HR rule was exercised too.
+  EXPECT_GT(total_self_evictions, 0u);
+}
 
 }  // namespace
 }  // namespace biza

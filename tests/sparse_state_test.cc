@@ -5,6 +5,7 @@
 // behavioural equivalence of whole devices.
 #include <algorithm>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -138,6 +139,37 @@ TEST(SparseTable, SurvivesRehashWithScatteredKeys) {
   });
   EXPECT_EQ(visited, kN);
   EXPECT_GT(table.allocated_bytes(), 0u);
+}
+
+TEST(SparseTable, EraseMatchesReferenceMapUnderChurn) {
+  // A bounded, churning key set (the ghost-cache regime): clustered and
+  // scattered keys, erases of present and absent keys, and enough inserts
+  // to rehash. Every step is checked against std::unordered_map.
+  SparseTable<uint64_t> table;
+  std::unordered_map<uint64_t, uint64_t> ref;
+  Rng rng(17);
+  for (int step = 0; step < 200000; ++step) {
+    const uint64_t key = rng.Next() % 3 == 0 ? rng.Next() % 4096
+                                              : rng.Next() % 65536;
+    if (rng.Next() % 2 == 0) {
+      table.Set(key, static_cast<uint64_t>(step));
+      ref[key] = static_cast<uint64_t>(step);
+    } else {
+      EXPECT_EQ(table.Erase(key), ref.erase(key) == 1);
+    }
+    ASSERT_EQ(table.size(), ref.size());
+  }
+  for (uint64_t key = 0; key < 65536; ++key) {
+    auto it = ref.find(key);
+    const uint64_t* v = table.Find(key);
+    ASSERT_EQ(v != nullptr, it != ref.end()) << "key " << key;
+    if (v != nullptr) {
+      EXPECT_EQ(*v, it->second);
+    }
+  }
+  uint64_t visited = 0;
+  table.ForEach([&](uint64_t, uint64_t&) { ++visited; });
+  EXPECT_EQ(visited, ref.size());
 }
 
 // ---------------------------------------------------------------------------

@@ -3,9 +3,14 @@
 // scheduled write ever faults, while a naive parallel writer does.
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <memory>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "src/biza/zone_scheduler.h"
+#include "src/common/rng.h"
 #include "src/sim/simulator.h"
 #include "src/zns/zns_device.h"
 
@@ -200,6 +205,178 @@ TEST_P(ReorderPropertyTest, NoWriteFailuresUnderJitter) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ReorderPropertyTest,
                          ::testing::Range<uint64_t>(1, 21));
+
+// ---- Incremental pump vs a naive full-rescan reference --------------------
+
+// Reference for the scheduler's dispatch rule: after every submit,
+// completion and cap change, one FIFO pass over the WHOLE queue dispatches
+// each job that fits the window, has no older write in flight on any of its
+// blocks, and is under the in-flight cap.
+class NaiveWindowQueue {
+ public:
+  explicit NaiveWindowQueue(uint64_t zrwa_blocks) : zrwa_(zrwa_blocks) {}
+
+  void Allocate(uint64_t n) {
+    alloc_ += n;
+    pending_.resize(alloc_, 0);
+    inflight_cnt_.resize(alloc_, 0);
+    durable_.resize(alloc_, false);
+  }
+  void Submit(int id, uint64_t offset, uint64_t n) {
+    for (uint64_t b = offset; b < offset + n; ++b) {
+      pending_[b]++;
+    }
+    queue_.push_back({id, offset, n});
+    Advance();
+    Pump();
+  }
+  void Complete(int id) {
+    const Job job = jobs_.at(id);
+    inflight_--;
+    for (uint64_t b = job.offset; b < job.offset + job.n; ++b) {
+      pending_[b]--;
+      inflight_cnt_[b]--;
+      durable_[b] = true;
+    }
+    Advance();
+    Pump();
+  }
+  void SetCap(uint64_t cap) {
+    cap_ = cap;
+    Pump();
+  }
+  uint64_t win_start() const { return win_start_; }
+  const std::vector<std::pair<uint64_t, uint64_t>>& log() const {
+    return log_;
+  }
+
+ private:
+  struct Job {
+    int id;
+    uint64_t offset;
+    uint64_t n;
+  };
+
+  bool Eligible(const Job& job) const {
+    if (job.offset < win_start_ || job.offset + job.n > win_start_ + zrwa_) {
+      return false;
+    }
+    if (cap_ != 0 && inflight_ >= cap_) {
+      return false;
+    }
+    for (uint64_t b = job.offset; b < job.offset + job.n; ++b) {
+      if (inflight_cnt_[b] > 0) {
+        return false;
+      }
+    }
+    return true;
+  }
+  void Pump() {
+    for (auto it = queue_.begin(); it != queue_.end();) {
+      if (!Eligible(*it)) {
+        ++it;
+        continue;
+      }
+      inflight_++;
+      for (uint64_t b = it->offset; b < it->offset + it->n; ++b) {
+        inflight_cnt_[b]++;
+      }
+      log_.emplace_back(it->offset, it->n);
+      jobs_[it->id] = *it;
+      it = queue_.erase(it);
+    }
+  }
+  void Advance() {
+    while (win_start_ < alloc_ && durable_[win_start_] &&
+           pending_[win_start_] == 0 && alloc_ > win_start_ + zrwa_) {
+      win_start_++;
+    }
+  }
+
+  uint64_t zrwa_;
+  uint64_t alloc_ = 0;
+  uint64_t win_start_ = 0;
+  uint64_t inflight_ = 0;
+  uint64_t cap_ = 0;
+  std::vector<int> pending_;
+  std::vector<int> inflight_cnt_;
+  std::vector<bool> durable_;
+  std::deque<Job> queue_;
+  std::unordered_map<int, Job> jobs_;
+  std::vector<std::pair<uint64_t, uint64_t>> log_;
+};
+
+class PumpDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(PumpDifferentialTest, DispatchOrderMatchesFullRescan) {
+  const uint64_t seed = GetParam();
+  ZnsConfig config = DeviceConfig(/*jitter=*/30 * kMicrosecond, seed);
+  config.zrwa_blocks = 32;  // a narrow window keeps many jobs queued
+  Fixture f(config);
+  NaiveWindowQueue ref(config.zrwa_blocks);
+  std::vector<std::pair<uint64_t, uint64_t>> dispatched;
+  f.sched->SetDispatchObserver([&](uint64_t offset, uint64_t n) {
+    dispatched.emplace_back(offset, n);
+  });
+  Rng rng(seed * 131 + 7);
+  int next_id = 0;
+  int completions = 0;
+  auto submit = [&](uint64_t offset, uint64_t n) {
+    const int id = next_id++;
+    std::vector<uint64_t> patterns(n, rng.Next());
+    f.sched->SubmitWrite(offset, std::move(patterns), {},
+                         [&, id](const Status& s) {
+                           EXPECT_TRUE(s.ok());
+                           completions++;
+                           ref.Complete(id);
+                         });
+    ref.Submit(id, offset, n);
+  };
+  uint64_t capped_steps = 0;
+  for (int step = 0; step < 3000; ++step) {
+    const uint64_t action = rng.Uniform(100);
+    if (action < 40) {
+      const uint64_t n = 1 + rng.Uniform(4);
+      if (f.sched->free_blocks() >= n) {
+        const uint64_t off = f.sched->Allocate(n);
+        ref.Allocate(n);
+        submit(off, n);
+      }
+    } else if (action < 75) {
+      // In-place update of 1-2 blocks still inside the window.
+      if (f.sched->alloc_ptr() > f.sched->win_start()) {
+        const uint64_t off =
+            f.sched->win_start() +
+            rng.Uniform(f.sched->alloc_ptr() - f.sched->win_start());
+        const uint64_t n = off + 1 < f.sched->alloc_ptr() ? 1 + rng.Uniform(2)
+                                                          : 1;
+        if (f.sched->CanUpdateInPlace(off)) {
+          submit(off, n);
+        }
+      }
+    } else if (action < 80) {
+      const uint64_t cap = rng.Uniform(4);  // 0 = uncapped
+      f.sched->SetInflightCap(cap);
+      ref.SetCap(cap);
+    } else {
+      f.sim.RunFor(rng.Uniform(40 * kMicrosecond));
+    }
+    capped_steps += f.sched->inflight_cap() != 0 ? 1 : 0;
+    ASSERT_EQ(f.sched->win_start(), ref.win_start()) << "step " << step;
+    ASSERT_EQ(dispatched.size(), ref.log().size()) << "step " << step;
+  }
+  f.sched->SetInflightCap(0);
+  ref.SetCap(0);
+  f.sim.RunUntilIdle();
+  EXPECT_EQ(completions, next_id);
+  EXPECT_TRUE(f.sched->Idle());
+  EXPECT_EQ(dispatched, ref.log());
+  EXPECT_GT(capped_steps, 0u);
+  EXPECT_EQ(f.dev->stats().write_failures, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PumpDifferentialTest,
+                         ::testing::Range<uint64_t>(1, 11));
 
 // Same-block update ordering: content must equal the LAST submitted value
 // even when several updates to one block are in flight.
