@@ -159,22 +159,13 @@ inline DriverReport RunBlockMicro(Simulator* sim, Platform* platform,
 // Every experiment job records the fired-event count of its Simulator before
 // returning; the BenchMetricScope that wraps a bench's main() prints one
 // machine-readable BENCH_METRIC line (wall-clock, total simulated events,
-// events/sec, thread and shard counts) that tools/run_benches.sh collects into
+// events/sec, runner thread count) that tools/run_benches.sh collects into
 // BENCH_sim.json. Keeping the line format stable is what lets the perf
 // trajectory of the simulator be tracked across PRs.
 
 inline std::atomic<uint64_t>& FiredEventCounter() {
   static std::atomic<uint64_t> counter{0};
   return counter;
-}
-
-// Largest effective shard count (src/sim/shard_router.h) any experiment job
-// actually ran with. 0 until a sharded run registers; the metric line prints
-// max(gauge, 1) so a single-clock run reports shards=1 even when
-// BIZA_SIM_SHARDS asked for more but a clamp forced it back down.
-inline std::atomic<int>& SimShardsGauge() {
-  static std::atomic<int> gauge{0};
-  return gauge;
 }
 
 // Host bytes moved by the simulated workloads (writes + reads), summed across
@@ -185,17 +176,9 @@ inline std::atomic<uint64_t>& SimulatedBytesCounter() {
   return counter;
 }
 
-// Call at the end of every experiment job (thread-safe). Counts events fired
-// on the host clock plus every device shard, and remembers the effective
-// shard count for the BENCH_METRIC line.
+// Call at the end of every experiment job (thread-safe).
 inline void RecordSimEvents(const Simulator& sim) {
-  FiredEventCounter().fetch_add(sim.total_fired_events(),
-                                std::memory_order_relaxed);
-  const int shards = sim.router() != nullptr ? sim.router()->num_shards() : 1;
-  int seen = SimShardsGauge().load(std::memory_order_relaxed);
-  while (shards > seen && !SimShardsGauge().compare_exchange_weak(
-                              seen, shards, std::memory_order_relaxed)) {
-  }
+  FiredEventCounter().fetch_add(sim.fired_events(), std::memory_order_relaxed);
 }
 
 inline void RecordSimEvents(const Simulator& sim, const DriverReport& report) {
@@ -230,16 +213,14 @@ class BenchMetricScope {
     const double rss_mb = static_cast<double>(PeakRssBytes()) / (1024.0 * 1024.0);
     const double sim_gib =
         static_cast<double>(sim_bytes) / (1024.0 * 1024.0 * 1024.0);
-    const int shards =
-        std::max(1, SimShardsGauge().load(std::memory_order_relaxed));
     std::printf(
         "\nBENCH_METRIC {\"bench\":\"%s\",\"wall_s\":%.3f,\"events\":%llu,"
-        "\"events_per_s\":%.0f,\"threads\":%d,\"shards\":%d,"
+        "\"events_per_s\":%.0f,\"threads\":%d,"
         "\"full_geometry\":%d,"
         "\"rss_peak_mb\":%.1f,\"sim_gib\":%.3f,\"rss_mb_per_sim_gib\":%.2f}\n",
         id_, wall_s, static_cast<unsigned long long>(events),
         wall_s > 0 ? static_cast<double>(events) / wall_s : 0.0,
-        DefaultExperimentThreads(), shards, FullGeometryEnabled() ? 1 : 0,
+        DefaultExperimentThreads(), FullGeometryEnabled() ? 1 : 0,
         rss_mb, sim_gib, sim_gib > 0 ? rss_mb / sim_gib : 0.0);
   }
 

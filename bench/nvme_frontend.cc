@@ -85,7 +85,7 @@ FrontendCell RunCase(const Series& s, uint64_t seed) {
     cell.qd_stalls += qs.qd_stalls;
     cell.max_batch = std::max(cell.max_batch, qs.max_batch);
   }
-  cell.fired_events = sim.total_fired_events() + cell.absorbed;
+  cell.fired_events = sim.fired_events() + cell.absorbed;
   RecordSimEvents(sim, report);
   RecordAbsorbedEvents(cell.absorbed);
   cell.wall_s =

@@ -16,7 +16,6 @@
 
 #include "src/common/rng.h"
 #include "src/common/units.h"
-#include "src/sim/shard_router.h"
 #include "src/sim/simulator.h"
 #include "src/zns/zns_device.h"
 
@@ -234,73 +233,6 @@ void BM_FullGeometryZoneWrite(benchmark::State& state) {
       static_cast<int64_t>(ZnsConfig::kFullZn540ZoneBlocks));
 }
 BENCHMARK(BM_FullGeometryZoneWrite)->Unit(benchmark::kMillisecond);
-
-// Sharded-PDES drain throughput: 8 full-geometry ZnsDevices spread over
-// Arg(0) device shards (1 = the single-clock engine, no router), each
-// streaming one real ZN540 zone in 1024-block commands submitted from the
-// host clock. Completions fire back on the host clock and resubmit, so
-// every command crosses the shard boundary both ways — the event shape of
-// a sharded afa_bench run. items/s counts written blocks; Arg(N)/Arg(1)
-// is the sharded speedup, which needs >= N spare cores to exceed 1.
-void BM_ShardedZoneSweep(benchmark::State& state) {
-  const int shards = static_cast<int>(state.range(0));
-  constexpr int kDevices = 8;
-  static constexpr uint64_t kCmdBlocks = 1024;
-  const ZnsConfig config = ZnsConfig::Zn540(ZnsConfig::kFullZn540Zones,
-                                            ZnsConfig::kFullZn540ZoneBlocks);
-  for (auto _ : state) {
-    Simulator host;
-    std::unique_ptr<ShardRouter> router;
-    if (shards > 1) {
-      router = std::make_unique<ShardRouter>(&host, shards,
-                                             config.dispatch_base_ns);
-    }
-    std::vector<std::unique_ptr<ZnsDevice>> devices;
-    for (int d = 0; d < kDevices; ++d) {
-      ZnsConfig dc = config;
-      dc.seed = 7 + static_cast<uint64_t>(d);
-      Simulator* sim = router ? router->shard(d % shards) : &host;
-      devices.push_back(std::make_unique<ZnsDevice>(sim, dc));
-    }
-    struct Stream {
-      ZnsDevice* dev = nullptr;
-      uint64_t offset = 0;
-      std::function<void()> pump;
-    };
-    std::vector<Stream> streams(kDevices);
-    const uint64_t total = config.zone_capacity_blocks;
-    for (int d = 0; d < kDevices; ++d) {
-      Stream& s = streams[static_cast<size_t>(d)];
-      s.dev = devices[static_cast<size_t>(d)].get();
-      s.pump = [&s, total]() {
-        if (s.offset >= total) {
-          return;
-        }
-        const uint64_t n = std::min<uint64_t>(kCmdBlocks, total - s.offset);
-        const uint64_t at = s.offset;
-        s.offset += n;
-        std::vector<uint64_t> patterns(static_cast<size_t>(n), at ^ 0x5aULL);
-        s.dev->SubmitWrite(0, at, std::move(patterns), {},
-                           [&s](const Status&) { s.pump(); });
-      };
-      s.pump();
-    }
-    host.RunUntilIdle();
-    benchmark::DoNotOptimize(host.Now());
-  }
-  state.SetItemsProcessed(
-      static_cast<int64_t>(state.iterations()) * kDevices *
-      static_cast<int64_t>(ZnsConfig::kFullZn540ZoneBlocks));
-}
-// UseRealTime: the main thread parks while shard workers drain, so the
-// default CPU-time normalization would overstate sharded throughput.
-BENCHMARK(BM_ShardedZoneSweep)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace biza

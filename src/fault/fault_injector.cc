@@ -106,43 +106,41 @@ void FaultInjector::ClearDeviceFaults(int device) {
   state.pending_read_errors = 0;
 }
 
-bool FaultInjector::IsDead(int device, SimTime now) const {
+bool FaultInjector::IsDead(int device) const {
   const DeviceState* state = FindState(device);
   return state != nullptr && state->spec.die_at != 0 &&
-         now >= state->spec.die_at;
+         sim_->Now() >= state->spec.die_at;
 }
 
-Status FaultInjector::OnIo(int device, IoKind kind, SimTime now) {
+Status FaultInjector::OnIo(int device, IoKind kind) {
   if (FindState(device) == nullptr) {
     return OkStatus();
   }
-  // Note: only this device's state is touched from here on — the hook is
-  // called concurrently from different shard threads for different devices.
   DeviceState& state = StateFor(device);
-  if (IsDead(device, now)) {
-    state.stats.unavailable_rejections++;
+  if (IsDead(device)) {
+    stats_.unavailable_rejections++;
     return UnavailableError("device " + std::to_string(device) + " dead");
   }
   if (kind == IoKind::kWrite) {
     if (state.pending_write_errors > 0) {
       state.pending_write_errors--;
-      state.stats.injected_write_errors++;
+      stats_.injected_write_errors++;
       return DeviceErrorStatus("scripted write error");
     }
     if (state.spec.write_error_prob > 0.0 &&
         state.rng.Chance(state.spec.write_error_prob)) {
-      state.stats.injected_write_errors++;
+      stats_.injected_write_errors++;
       return DeviceErrorStatus("transient write error");
     }
   } else {
     if (state.pending_read_errors > 0) {
       state.pending_read_errors--;
-      state.stats.injected_read_errors++;
+      stats_.injected_read_errors++;
       return DeviceErrorStatus("scripted read error");
     }
     if (state.spec.read_error_prob > 0.0 &&
         state.rng.Chance(state.spec.read_error_prob)) {
-      state.stats.injected_read_errors++;
+      stats_.injected_read_errors++;
       return DeviceErrorStatus("transient read error");
     }
   }
@@ -176,16 +174,6 @@ SimTime FaultInjector::StretchCompletion(int device, int channel, SimTime done,
       done > state->slow_busy_until ? done : state->slow_busy_until;
   state->slow_busy_until = lane_free + excess;
   return state->slow_busy_until;
-}
-
-FaultStats FaultInjector::stats() const {
-  FaultStats total;
-  for (const DeviceState& state : devices_) {
-    total.injected_read_errors += state.stats.injected_read_errors;
-    total.injected_write_errors += state.stats.injected_write_errors;
-    total.unavailable_rejections += state.stats.unavailable_rejections;
-  }
-  return total;
 }
 
 }  // namespace biza

@@ -82,8 +82,7 @@ bool HostWriteBuffer::Admit(Parked* w) {
 void HostWriteBuffer::AckWrite(WriteCallback cb) {
   // The ack is a pending host event: a crash (DropPending) before it fires
   // means the write was never acknowledged, so losing it breaks no promise.
-  sim_->ScheduleAt(sim_->HostNow() + config_.ack_ns,
-                   [cb = std::move(cb)] { cb(OkStatus()); });
+  sim_->Schedule(config_.ack_ns, [cb = std::move(cb)] { cb(OkStatus()); });
 }
 
 void HostWriteBuffer::MaybeFlush(bool force) {
@@ -195,10 +194,10 @@ void HostWriteBuffer::SubmitRead(uint64_t lbn, uint64_t nblocks,
     for (const auto& [i, pattern] : overlay) {
       patterns[i] = pattern;
     }
-    sim_->ScheduleAt(sim_->HostNow() + config_.ack_ns,
-                     [cb = std::move(cb), patterns = std::move(patterns)]() mutable {
-                       cb(OkStatus(), std::move(patterns));
-                     });
+    sim_->Schedule(config_.ack_ns, [cb = std::move(cb),
+                                    patterns = std::move(patterns)]() mutable {
+      cb(OkStatus(), std::move(patterns));
+    });
     return;
   }
   inner_->SubmitRead(

@@ -27,9 +27,8 @@ NvmeQueuePair::NvmeQueuePair(Simulator* sim, const NvmeQueueConfig& config,
 }
 
 SimTime NvmeQueuePair::DoorbellNs() const {
-  // The doorbell delay must not undercut the dispatch floor: it is the
-  // conservative lookahead of the sharded engine, and the legacy path's
-  // minimum arrival latency.
+  // The doorbell delay must not undercut the dispatch floor, the legacy
+  // path's minimum arrival latency.
   return config_.doorbell_ns > floor_ns_ ? config_.doorbell_ns : floor_ns_;
 }
 
@@ -53,7 +52,7 @@ void NvmeQueuePair::Submit(InlineCallback fn) {
   }
   inflight_[sq]++;
   host_inflight_++;
-  Enqueue(sq, sim_->HostNow(), std::move(fn));
+  Enqueue(sq, sim_->Now(), std::move(fn));
 }
 
 void NvmeQueuePair::Enqueue(uint32_t sq, SimTime submitted, InlineCallback fn) {
@@ -62,8 +61,8 @@ void NvmeQueuePair::Enqueue(uint32_t sq, SimTime submitted, InlineCallback fn) {
     // Ring a fresh doorbell. The admission rule above means the previous
     // ring either fired already or fires too soon for this command to make
     // it — and conversely, every command this batch holds was posted at
-    // least one doorbell delay (>= the lookahead floor) before the ring, so
-    // the ring event is provably still pending when the host appends.
+    // least one doorbell delay before the ring, so the ring event is
+    // provably still pending when the host appends.
     auto batch = std::make_shared<Batch>();
     open_batch_ = batch;
     open_deliver_at_ = submitted + db;
@@ -82,7 +81,7 @@ void NvmeQueuePair::Enqueue(uint32_t sq, SimTime submitted, InlineCallback fn) {
 }
 
 void NvmeQueuePair::DrainOverflow() {
-  const SimTime now = sim_->HostNow();
+  const SimTime now = sim_->Now();
   for (uint32_t sq = 0; sq < config_.num_queues; ++sq) {
     auto& parked = overflow_[sq];
     while (!parked.empty() && inflight_[sq] < config_.queue_depth) {
@@ -168,9 +167,9 @@ void NvmeQueuePair::FireInterrupt() {
   }
   irq_at_ = kNotArmed;
   const SimTime now = sim_->Now();
-  // Partition ready CQEs out of the pending list in place: `fire` is handed
-  // to the host message below, survivors compact to the front of cq_ in
-  // their original posting order.
+  // Partition ready CQEs out of the pending list in place: `fire` is
+  // delivered below, survivors compact to the front of cq_ in their
+  // original posting order.
   std::vector<Cqe> fire;
   fire.reserve(cq_.size());
   size_t keep = 0;
@@ -207,22 +206,18 @@ void NvmeQueuePair::FireInterrupt() {
   }
   stats_.interrupts++;
   stats_.coalesced_cqes += fire.size() - 1;
-  // One host message drains the whole CQ batch: free the SQ slots, refill
+  // One interrupt drains the whole CQ batch: free the SQ slots, refill
   // from the software queues, then run the completion callbacks in order.
-  // Unsharded this runs inline (no extra event); sharded it is one outbox
-  // entry instead of one per completion.
-  sim_->CompleteNow([this, fire = std::move(fire)]() mutable {
-    for (auto& cqe : fire) {
-      assert(inflight_[cqe.sq] > 0);
-      inflight_[cqe.sq]--;
-      assert(host_inflight_ > 0);
-      host_inflight_--;
-    }
-    DrainOverflow();
-    for (auto& cqe : fire) {
-      cqe.fn.ConsumeInvoke();
-    }
-  });
+  for (auto& cqe : fire) {
+    assert(inflight_[cqe.sq] > 0);
+    inflight_[cqe.sq]--;
+    assert(host_inflight_ > 0);
+    host_inflight_--;
+  }
+  DrainOverflow();
+  for (auto& cqe : fire) {
+    cqe.fn.ConsumeInvoke();
+  }
 }
 
 }  // namespace biza

@@ -23,8 +23,8 @@
 //
 // Determinism: arrivals are pure functions of (seed, tenant index); request
 // content draws from a per-tenant RNG in arrival order; everything else is
-// simulator-event driven. Runs are bit-identical per (seed, shard count),
-// and the per-tenant arrival fingerprint is shard-count invariant.
+// simulator-event driven. Runs are bit-identical per seed, and the
+// per-tenant arrival fingerprint depends only on (seed, tenant spec).
 #ifndef BIZA_SRC_SERVE_SERVE_FRONTEND_H_
 #define BIZA_SRC_SERVE_SERVE_FRONTEND_H_
 
@@ -90,7 +90,7 @@ class ServeFrontend {
   std::vector<TenantReport> Run();
 
   // FNV-1a over tenant i's arrival timestamps of the last Run — the
-  // determinism witness tests compare across seeds/shard counts.
+  // determinism witness tests compare across seeds and platforms.
   uint64_t ArrivalFingerprint(size_t i) const;
 
   const ServeConfig& config() const { return config_; }

@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "src/sim/shard_router.h"
-
 namespace biza {
 
 void Simulator::SiftDown(size_t index) {
@@ -47,9 +45,6 @@ void Simulator::FireEarliest() {
 }
 
 SimTime Simulator::RunUntilIdle() {
-  if (router_ != nullptr) {
-    return router_->RunUntilIdle();
-  }
   while (!heap_.empty()) {
     FireEarliest();
   }
@@ -57,10 +52,6 @@ SimTime Simulator::RunUntilIdle() {
 }
 
 void Simulator::RunUntil(SimTime deadline) {
-  if (router_ != nullptr) {
-    router_->RunUntil(deadline);
-    return;
-  }
   while (!heap_.empty() && heap_.front().when <= deadline) {
     FireEarliest();
   }
@@ -70,27 +61,12 @@ void Simulator::RunUntil(SimTime deadline) {
 }
 
 void Simulator::DropPending() {
-  if (router_ != nullptr) {
-    router_->DropPending();
-    return;
-  }
-  DropPendingLocal();
-}
-
-void Simulator::DropPendingLocal() {
   for (const HeapEntry& entry : heap_) {
     // Destroy (never invoke) the parked callback, then recycle its slot.
     SlotPtr(entry.slot)->Reset();
     free_slots_.push_back(entry.slot);
   }
   heap_.clear();
-}
-
-uint64_t Simulator::total_fired_events() const {
-  if (router_ != nullptr) {
-    return router_->TotalFired();
-  }
-  return fired_;
 }
 
 }  // namespace biza

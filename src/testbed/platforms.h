@@ -29,7 +29,6 @@
 #include "src/metrics/observability.h"
 #include "src/metrics/wa_report.h"
 #include "src/nvme/host_buffer.h"
-#include "src/sim/shard_router.h"
 #include "src/sim/simulator.h"
 #include "src/zapraid/zapraid.h"
 #include "src/zns/zns_device.h"
@@ -60,12 +59,9 @@ struct PlatformConfig {
   ZapRaidConfig zapraid;
   uint64_t seed = 1;
 
-  // Sharded-PDES shard count: member devices are spread round-robin over
-  // this many device logical clocks (src/sim/shard_router.h). 0 = take
-  // BIZA_SIM_SHARDS from the environment; 1 = the bit-identical legacy
-  // single-clock engine. Clamped to num_ssds; forced to 1 when an
-  // observability sink is attached (tracer/histogram hooks fire on shard
-  // threads) or the device dispatch floor is zero (no lookahead).
+  // Unused: the simulator runs on one clock. Kept only because the
+  // benchmark harness (perfbench/perfbench.cc) still assigns it; Create
+  // asserts it is 0 or 1. Delete it together with that assignment.
   int shards = 0;
 
   // Scripted device-fault schedule (device death, fail-slow, transient
@@ -77,9 +73,7 @@ struct PlatformConfig {
   // Gray-failure self-defense (src/health/). When health.enabled the
   // platform owns a DeviceHealthMonitor fed by the engine's per-device I/O
   // completions and attaches it to BizaArray / Mdraid, arming hedged reads,
-  // reconstruct-around reads and steering-aware writes. Unlike obs, the
-  // monitor does NOT force shards=1: it is driven purely from engine-side
-  // completion callbacks, which run on the host clock.
+  // reconstruct-around reads and steering-aware writes.
   HealthConfig health;
 
   // Host-side ZNS write-buffer tier (src/nvme/host_buffer.h). When enabled
@@ -135,10 +129,6 @@ class Platform {
   DeviceHealthMonitor* health() { return health_.get(); }
   HostWriteBuffer* hostbuf() { return hostbuf_.get(); }
 
-  // Effective shard count after clamping (1 = legacy single-clock engine).
-  int shards() const { return router_ ? router_->num_shards() : 1; }
-  ShardRouter* router() { return router_.get(); }
-
   // Hot-spare provisioning for online rebuild: creates a fresh, empty
   // member device (with the next fault-plan device id) and returns it. The
   // platform keeps ownership; pass the pointer to BizaArray::ReplaceDevice
@@ -151,10 +141,6 @@ class Platform {
 
   PlatformKind kind_ = PlatformKind::kBiza;
   PlatformConfig config_;
-
-  // Declared before the devices: shard simulators (and their worker
-  // threads) must outlive every device scheduled on them.
-  std::unique_ptr<ShardRouter> router_;
 
   std::unique_ptr<FaultInjector> fault_;
   std::unique_ptr<DeviceHealthMonitor> health_;

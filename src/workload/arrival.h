@@ -7,7 +7,7 @@
 // instantaneous rate λ(t) is a pure function of (spec, virtual time), and
 // sampling uses Lewis–Shedler thinning against the peak rate, so the
 // arrival sequence is a pure function of (spec, seed) — independent of
-// shard count, platform, or anything downstream. tests/serve_test.cc pins
+// platform, host buffering, or anything downstream. tests/serve_test.cc pins
 // this determinism contract.
 #ifndef BIZA_SRC_WORKLOAD_ARRIVAL_H_
 #define BIZA_SRC_WORKLOAD_ARRIVAL_H_

@@ -527,17 +527,24 @@ void ZapRaid::RequeueOp(int builder, ChunkOp op, uint32_t from_group,
   row.parity_dev = -1;
   row.parity_durable = false;
   ++stats_.requeued_chunks;
-  const uint64_t from_pa = MakePa(from_dev, from_group, op.offset);
-  auto retry = std::make_shared<std::function<void()>>();
-  auto op_holder = std::make_shared<ChunkOp>(std::move(op));
-  *retry = [this, builder, op_holder, from_pa, retry] {
-    if (!AppendChunk(builder, op_holder->pattern, op_holder->oob,
-                     op_holder->tag, op_holder->done, from_pa)) {
-      ++stats_.write_stalls;
-      stalled_writes_.push_back([retry] { (*retry)(); });
-    }
-  };
-  (*retry)();
+  AppendOrPark(builder, op.pattern, op.oob, op.tag, std::move(op.done),
+               MakePa(from_dev, from_group, op.offset), /*count_stalls=*/true);
+}
+
+void ZapRaid::AppendOrPark(int b, uint64_t pattern, OobRecord oob,
+                           WriteTag tag,
+                           std::function<void(const Status&)> done,
+                           uint64_t repoint_from, bool count_stalls) {
+  if (AppendChunk(b, pattern, oob, tag, done, repoint_from)) {
+    return;
+  }
+  if (count_stalls) {
+    ++stats_.write_stalls;
+  }
+  stalled_writes_.push_back([this, b, pattern, oob, tag, done = std::move(done),
+                             repoint_from, count_stalls] {
+    AppendOrPark(b, pattern, oob, tag, done, repoint_from, count_stalls);
+  });
 }
 
 void ZapRaid::InvalidatePa(uint64_t pa) {
@@ -572,6 +579,20 @@ void ZapRaid::MaybeFlushDone() {
   }
 }
 
+// Join state for one SubmitWrite: its chunks append one by one (a stall
+// parks the rest of the request) and the callback fires once dispatch is
+// over and every appended chunk is durable.
+struct ZapRaid::WriteJoin {
+  uint64_t lbn = 0;
+  WriteTag tag = WriteTag::kData;
+  std::vector<uint64_t> patterns;
+  uint64_t pending = 0;
+  bool dispatching = false;
+  Status error;
+  WriteCallback cb;
+  SimTime start = 0;
+};
+
 void ZapRaid::SubmitWrite(uint64_t lbn, std::vector<uint64_t> patterns,
                           WriteCallback cb, WriteTag tag) {
   if (lbn + patterns.size() > exposed_blocks_) {
@@ -581,63 +602,57 @@ void ZapRaid::SubmitWrite(uint64_t lbn, std::vector<uint64_t> patterns,
   cpu_.Charge(cpu_id_, config_.costs.request_overhead_ns);
   stats_.user_written_blocks += patterns.size();
 
-  struct WriteJoin {
-    uint64_t pending = 0;
-    bool dispatching = false;
-    Status error;
-    WriteCallback cb;
-    SimTime start = 0;
-  };
   auto join = std::make_shared<WriteJoin>();
+  join->lbn = lbn;
+  join->tag = tag;
+  join->patterns = std::move(patterns);
   join->cb = std::move(cb);
   join->start = sim_->Now();
+  DispatchWrite(join, 0);
+  MaybeStartGc();
+}
 
-  auto finish = [this, join] {
-    if (join->pending != 0 || join->dispatching || !join->cb) {
+void ZapRaid::DispatchWrite(const std::shared_ptr<WriteJoin>& join, size_t i) {
+  join->dispatching = true;
+  for (; i < join->patterns.size(); ++i) {
+    OobRecord oob{join->lbn + i, 0, join->tag};
+    const bool ok = AppendChunk(
+        TagBuilder(join->tag), join->patterns[i], oob, join->tag,
+        [this, join](const Status& status) {
+          if (!status.ok() && join->error.ok()) {
+            join->error = status;
+          }
+          --join->pending;
+          FinishWrite(*join);
+        });
+    if (!ok) {
+      // No free group: park the rest of the request until GC frees one.
+      ++stats_.write_stalls;
+      stalled_writes_.push_back([this, join, i] { DispatchWrite(join, i); });
+      join->dispatching = false;
+      MaybeStartGc();
       return;
     }
-    if (h_write_ != nullptr) {
-      h_write_->Record(sim_->Now() - join->start);
-    }
-    if (obs_ != nullptr && obs_->tracer.Armed(join->start)) {
-      obs_->tracer.Record(Tracer::kLaneEngine, span_write_, join->start,
-                          sim_->Now(), key_lbn_, 0, key_blocks_, 0);
-    }
-    WriteCallback done = std::move(join->cb);
-    join->cb = nullptr;
-    done(join->error);
-  };
+    ++join->pending;
+  }
+  join->dispatching = false;
+  FinishWrite(*join);
+}
 
-  auto pats = std::make_shared<std::vector<uint64_t>>(std::move(patterns));
-  auto submit_from = std::make_shared<std::function<void(size_t)>>();
-  *submit_from = [this, join, finish, lbn, pats, tag, submit_from](size_t i) {
-    join->dispatching = true;
-    for (; i < pats->size(); ++i) {
-      OobRecord oob{lbn + i, 0, tag};
-      const bool ok = AppendChunk(
-          TagBuilder(tag), (*pats)[i], oob, tag,
-          [join, finish](const Status& status) {
-            if (!status.ok() && join->error.ok()) {
-              join->error = status;
-            }
-            --join->pending;
-            finish();
-          });
-      if (!ok) {
-        // No free group: park the rest of the request until GC frees one.
-        ++stats_.write_stalls;
-        stalled_writes_.push_back([submit_from, i] { (*submit_from)(i); });
-        join->dispatching = false;
-        MaybeStartGc();
-        return;
-      }
-      ++join->pending;
-    }
-    join->dispatching = false;
-    finish();
-  };
-  (*submit_from)(0);
-  MaybeStartGc();
+void ZapRaid::FinishWrite(WriteJoin& join) {
+  if (join.pending != 0 || join.dispatching || !join.cb) {
+    return;
+  }
+  if (h_write_ != nullptr) {
+    h_write_->Record(sim_->Now() - join.start);
+  }
+  if (obs_ != nullptr && obs_->tracer.Armed(join.start)) {
+    obs_->tracer.Record(Tracer::kLaneEngine, span_write_, join.start,
+                        sim_->Now(), key_lbn_, 0, key_blocks_, 0);
+  }
+  WriteCallback done = std::move(join.cb);
+  join.cb = nullptr;
+  done(join.error);
 }
 
 void ZapRaid::FlushBuffers(std::function<void()> done) {
@@ -1231,16 +1246,11 @@ void ZapRaid::GcAppend(uint64_t lbn, uint32_t wsn, uint64_t pattern,
       FinishGcVictim();
     }
   };
-  auto retry = std::make_shared<std::function<void()>>();
-  *retry = [this, lbn, wsn, pattern, from_pa, done, retry] {
-    // Preserving the original wsn keeps the recovery total order intact:
-    // the migrated copy is the *same* version, not a newer one.
-    if (!AppendChunk(kGcBuilder, pattern, OobRecord{lbn, wsn, WriteTag::kGcData},
-                     WriteTag::kGcData, done, from_pa)) {
-      stalled_writes_.push_back([retry] { (*retry)(); });
-    }
-  };
-  (*retry)();
+  // Preserving the original wsn keeps the recovery total order intact: the
+  // migrated copy is the *same* version, not a newer one.
+  AppendOrPark(kGcBuilder, pattern, OobRecord{lbn, wsn, WriteTag::kGcData},
+               WriteTag::kGcData, std::move(done), from_pa,
+               /*count_stalls=*/false);
 }
 
 void ZapRaid::FinishGcVictim() {
@@ -1445,15 +1455,8 @@ void ZapRaid::RebuildStep() {
         return;  // foreground overwrite re-homed it for us
       }
       ++rebuild_.chunks_migrated;
-      auto retry = std::make_shared<std::function<void()>>();
-      *retry = [this, lbn, pattern, pa = e.pa, retry] {
-        if (!AppendChunk(kGcBuilder, pattern,
-                         OobRecord{lbn, 0, WriteTag::kGcData},
-                         WriteTag::kGcData, nullptr, pa)) {
-          stalled_writes_.push_back([retry] { (*retry)(); });
-        }
-      };
-      (*retry)();
+      AppendOrPark(kGcBuilder, pattern, OobRecord{lbn, 0, WriteTag::kGcData},
+                   WriteTag::kGcData, nullptr, e.pa, /*count_stalls=*/false);
     };
     if (PaDevice(e.pa) == rebuild_.device) {
       // Chunk died with the member: XOR it back from the row's siblings.

@@ -278,6 +278,13 @@ class ZapRaid : public BlockTarget {
   bool AppendChunk(int b, uint64_t pattern, OobRecord oob, WriteTag tag,
                    std::function<void(const Status&)> done,
                    uint64_t repoint_from = kInvalidPa);
+  // AppendChunk, or — when no group is free — parks the same append in
+  // stalled_writes_ until GC frees one. The parked closure owns copies of
+  // its arguments and nothing that refers back to it, so it is freed once
+  // it runs. `count_stalls` bumps stats_.write_stalls per parked attempt.
+  void AppendOrPark(int b, uint64_t pattern, OobRecord oob, WriteTag tag,
+                    std::function<void(const Status&)> done,
+                    uint64_t repoint_from, bool count_stalls);
   void CloseRow(int b, WriteTag parity_tag);
   void CloseRowEarly(int b);
   void SealGroup(int b);
@@ -294,6 +301,14 @@ class ZapRaid : public BlockTarget {
   void PurgeQueue(const std::shared_ptr<GroupIo>& io, int device);
   void CheckGroupDrained(const std::shared_ptr<GroupIo>& io);
   void RequeueOp(int builder, ChunkOp op, uint32_t from_group, int from_dev);
+
+  // Write-path helpers.
+  struct WriteJoin;
+  // Appends chunks [i, end) of a SubmitWrite; on a stall parks the rest of
+  // the request in stalled_writes_.
+  void DispatchWrite(const std::shared_ptr<WriteJoin>& join, size_t i);
+  // Fires the request's callback once every chunk is durable.
+  void FinishWrite(WriteJoin& join);
 
   void InvalidatePa(uint64_t pa);
   void RetryStalled();

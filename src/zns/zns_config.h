@@ -41,8 +41,7 @@ struct ZnsConfig {
   // count and batching unmodelable. Prefer the NVMe queue-pair frontend
   // below, which derives dispatch delay from doorbell batching, round-robin
   // arbitration and SQE fetch order. The legacy default stays bit-identical
-  // to pre-frontend builds; `dispatch_base_ns` also remains the
-  // conservative-lookahead floor of the sharded engine in both modes.
+  // to pre-frontend builds.
   SimTime dispatch_base_ns = 2 * kMicrosecond;
   SimTime dispatch_jitter_ns = 8 * kMicrosecond;  // deprecated, see above
 

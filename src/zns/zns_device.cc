@@ -204,9 +204,7 @@ void ZnsDevice::SubmitWrite(uint32_t zone, uint64_t offset,
 void ZnsDevice::DoWrite(uint32_t zone, uint64_t offset,
                         std::vector<uint64_t> patterns,
                         std::vector<OobRecord> oobs, WriteCallback cb) {
-  // Error completions leave the device with zero device-side latency, so
-  // they too must cross back to the host as messages; the unsharded legacy
-  // path invokes them inline, exactly as before.
+  // Error completions leave the device with zero device-side latency.
   auto fail = [this, &cb](Status status) {
     CompleteIoNow(
         [cb = std::move(cb), status = std::move(status)] { cb(status); });

@@ -1,9 +1,12 @@
 // Cross-module integration tests: every platform against every workload
 // family with end-to-end content verification, recovery property sweeps,
-// and reorder-safety of the full stacks under dispatch jitter.
+// reorder-safety of the full stacks under dispatch jitter, and rerun
+// determinism of whole driver runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <unordered_map>
 
@@ -233,6 +236,89 @@ TEST(FutureZns, HiddenMappingReturnsMinusOne) {
   ASSERT_TRUE(dev.OpenZone(0, false).ok());
   EXPECT_EQ(dev.ChannelOf(0), -1);       // hidden on today's devices
   EXPECT_GE(dev.DebugChannelOf(0), 0);   // oracle still works
+}
+
+// ---- rerun determinism -----------------------------------------------------
+
+struct RunOutcome {
+  std::string fingerprint;
+  uint64_t requests_completed = 0;
+  uint64_t mitigations = 0;  // hedged + reconstructed-around reads
+};
+
+// One full driver run of the mixed read/write CASA trace on a scaled BIZA
+// platform. The fingerprint folds in every externally visible result —
+// counts, bytes, virtual-time extent, latency shape, fired events, and
+// flash programs — so two runs with equal fingerprints behaved identically.
+// With `mitigate` set, device 1 is 8x fail-slow and the health monitor is
+// attached with small windows, so the run exercises detection, hedged reads,
+// reconstruct-around reads, and write steering.
+RunOutcome RunCasa(uint64_t seed, uint64_t requests = 3000,
+                   bool mitigate = false) {
+  Simulator sim;
+  PlatformConfig config;
+  config.zns = ZnsConfig::Zn540(/*num_zones=*/64, /*zone_capacity_blocks=*/1024);
+  config.MatchConvCapacity();
+  config.seed = seed;
+  if (mitigate) {
+    config.faults.Device(1).latency_mult = 8.0;
+    config.health.enabled = true;
+    config.health.window_ios = 16;
+    config.health.min_window_ns = 200 * kMicrosecond;
+  }
+  auto platform = Platform::Create(&sim, PlatformKind::kBiza, config);
+
+  // CASA is 98.6% writes; mitigated runs use the read-heavy web profile so
+  // hedged/reconstruct-around reads actually fire.
+  TraceProfile profile =
+      mitigate ? TraceProfile::Web() : TraceProfile::AllTable6()[0];
+  profile.footprint_blocks = std::min<uint64_t>(
+      profile.footprint_blocks, platform->block()->capacity_blocks() / 3);
+  SyntheticTrace trace(profile);
+  Driver driver(&sim, platform->block(), &trace, /*iodepth=*/16);
+  const DriverReport report = driver.Run(requests, 60 * kSecond);
+  platform->Quiesce(&sim);
+
+  RunOutcome out;
+  out.requests_completed = report.requests_completed;
+  std::ostringstream fp;
+  fp << report.requests_completed << '|' << report.bytes_written << '|'
+     << report.bytes_read << '|' << report.elapsed_ns << '|'
+     << report.write_latency.Summary() << '|' << report.read_latency.Summary()
+     << '|' << sim.Now() << '|' << sim.fired_events() << '|'
+     << platform->FlashProgrammedBlocks();
+  if (mitigate) {
+    // Fold the whole mitigation plane into the fingerprint: detection edges
+    // and every mitigated read must replay identically.
+    const BizaStats& bs = platform->biza()->stats();
+    const HealthStats& hs = platform->health()->stats();
+    fp << '|' << bs.hedged_reads << '|' << bs.hedge_recon_wins << '|'
+       << bs.recon_around_reads << '|' << bs.health_probe_reads << '|'
+       << bs.steered_parity_stripes << '|' << bs.gray_channel_skips << '|'
+       << hs.suspect_transitions << '|' << hs.gray_transitions << '|'
+       << hs.recoveries << '|' << hs.windows << '|' << hs.samples;
+    out.mitigations = bs.hedged_reads + bs.recon_around_reads;
+  }
+  out.fingerprint = fp.str();
+  return out;
+}
+
+TEST(RerunDeterminism, CasaRunIsBitIdentical) {
+  const RunOutcome a = RunCasa(/*seed=*/1);
+  EXPECT_EQ(a.requests_completed, 3000u);
+  const RunOutcome b = RunCasa(/*seed=*/1);
+  EXPECT_EQ(a.fingerprint, b.fingerprint);
+}
+
+// The mitigation plane (fail-slow detection, hedged reads, reconstruct-
+// around reads, steering) must not break run-to-run determinism — its
+// inputs are engine completion callbacks, so the sample sequence is fixed
+// per seed.
+TEST(RerunDeterminism, MitigatedGrayRunIsBitIdentical) {
+  const RunOutcome a = RunCasa(/*seed=*/5, 3000, /*mitigate=*/true);
+  EXPECT_GT(a.mitigations, 0u) << "fail-slow device was never mitigated";
+  const RunOutcome b = RunCasa(/*seed=*/5, 3000, /*mitigate=*/true);
+  EXPECT_EQ(a.fingerprint, b.fingerprint);
 }
 
 }  // namespace

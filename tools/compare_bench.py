@@ -78,14 +78,7 @@ def series(doc):
         name = entry.get("bench")
         eps = entry.get("events_per_s")
         if name and eps:
-            # Sharded-PDES runs are their own series: a single-clock and a
-            # 4-shard run of the same bench have different (deterministic)
-            # event orders and different scaling behaviour, so one must
-            # never gate the other. Entries without a shards field predate
-            # the field and are single-clock runs.
-            shards = int(entry.get("shards") or 1)
-            suffix = f"@shards={shards}" if shards > 1 else ""
-            out["bench:" + name + suffix] = float(eps)
+            out["bench:" + name] = float(eps)
     for entry in doc.get("frontend_series") or []:
         kind = entry.get("series_kind")
         if kind == "NVME_FRONTEND":

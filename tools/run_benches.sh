@@ -9,9 +9,8 @@
 #   - a reference afa_bench --stats run: its BENCH_HISTOGRAMS line (latency
 #     histogram summaries per layer: p50/p99/p99.9/max) lands in .histograms
 #     so latency-shape regressions show up next to the throughput numbers.
-#   - sharded-PDES reference runs: afa_bench --full-geometry at --shards=1
-#     and --shards=4; compare_bench.py gates each shard count as its own
-#     series (bench:afa_fullgeo vs bench:afa_fullgeo@shards=4).
+#   - a full-geometry reference run: afa_bench --full-geometry, recorded as
+#     bench:afa_fullgeo.
 #
 # Usage:
 #   tools/run_benches.sh             # sim_perf + all figure/table benches
@@ -81,19 +80,13 @@ if [[ "${quick}" -eq 0 ]]; then
     | tee "${tmp_dir}/afa_bench_stats.out" | grep '^BENCH_HISTOGRAMS ' \
     | sed 's/^BENCH_HISTOGRAMS //' > "${histograms_json}" || true
 
-  # Sharded-PDES reference: one full-geometry BIZA run per shard count.
-  # compare_bench.py keys bench_metrics entries by bench@shards=N, so the
-  # single-clock and sharded engines gate separately; the shards=4 run only
-  # shows a speedup on a box with >= 4 spare cores (BIZA_SIM_SHARDS also
-  # selects sharding for any other bench or test binary).
-  for sh in 1 4; do
-    echo "== afa_bench --full-geometry --shards=${sh} (sharded PDES) =="
-    "${build_dir}/tools/afa_bench" --platform=BIZA --workload=casa \
-      --full-geometry --requests=100000 --seconds=1 --shards="${sh}" \
-      --bench-metric=afa_fullgeo \
-      | tee "${tmp_dir}/afa_fullgeo_s${sh}.out" | grep '^BENCH_METRIC ' \
-      | sed 's/^BENCH_METRIC //' >> "${metric_lines}" || true
-  done
+  # Full-geometry reference: one BIZA run on the real ZN540 layout.
+  echo "== afa_bench --full-geometry =="
+  "${build_dir}/tools/afa_bench" --platform=BIZA --workload=casa \
+    --full-geometry --requests=100000 --seconds=1 \
+    --bench-metric=afa_fullgeo \
+    | tee "${tmp_dir}/afa_fullgeo.out" | grep '^BENCH_METRIC ' \
+    | sed 's/^BENCH_METRIC //' >> "${metric_lines}" || true
 fi
 
 jq -n \
