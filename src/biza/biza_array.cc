@@ -82,7 +82,7 @@ BizaArray::~BizaArray() {
   // Join handles live in tracked writes, parked requests and other joins'
   // callbacks (a parked remainder acks through its parent's join). Drop
   // them all while the join pool is still intact.
-  tracked_.clear();
+  tracked_.Clear();
   stalled_writes_.clear();
   for (auto& join : joins_) {
     join->cb = nullptr;
@@ -587,12 +587,7 @@ ZoneScheduler::WriteCallback BizaArray::TrackWrite(const JoinRef& join,
                                                    bool acked, int device,
                                                    uint32_t zone,
                                                    const char* parity_op) {
-  if (free_tracked_.empty()) {
-    free_tracked_.push_back(static_cast<uint32_t>(tracked_.size()));
-    tracked_.emplace_back();
-  }
-  const uint32_t id = free_tracked_.back();
-  free_tracked_.pop_back();
+  const uint32_t id = tracked_.Acquire();
   tracked_[id] =
       TrackedWrite{join, acked, sim_->Now(), device, zone, parity_op};
   return [this, id](const Status& status) { OnTrackedWriteDone(id, status); };
@@ -601,7 +596,7 @@ ZoneScheduler::WriteCallback BizaArray::TrackWrite(const JoinRef& join,
 void BizaArray::OnTrackedWriteDone(uint32_t id, const Status& status) {
   // `w` holds its join until this completion has fully run.
   const TrackedWrite w = std::move(tracked_[id]);
-  free_tracked_.push_back(id);
+  tracked_.Release(id);
   if (!status.ok()) {
     if (status.code() == ErrorCode::kUnavailable) {
       OnDeviceUnavailable(w.device);

@@ -37,6 +37,7 @@
 
 #include "src/biza/biza_config.h"
 #include "src/biza/channel_detector.h"
+#include "src/common/slot_pool.h"
 #include "src/common/sparse_array.h"
 #include "src/biza/ghost_cache.h"
 #include "src/biza/zone_scheduler.h"
@@ -471,8 +472,7 @@ class BizaArray : public BlockTarget {
   std::vector<Batch> batch_scratch_;  // DoSubmitWrite's per-device batches
   std::vector<std::unique_ptr<WriteJoin>> joins_;  // every join ever made
   std::vector<WriteJoin*> free_joins_;
-  std::vector<TrackedWrite> tracked_;
-  std::vector<uint32_t> free_tracked_;
+  SlotPool<TrackedWrite> tracked_;
 
   // GC state.
   bool gc_active_ = false;

@@ -217,12 +217,7 @@ void ZoneScheduler::Dispatch(Job job) {
   }
   // The completion's state waits in a slab slot, so the device callback
   // captures 16 bytes and std::function stores it without allocating.
-  if (free_slots_.empty()) {
-    free_slots_.push_back(static_cast<uint32_t>(slots_.size()));
-    slots_.emplace_back();
-  }
-  const uint32_t slot = free_slots_.back();
-  free_slots_.pop_back();
+  const uint32_t slot = slots_.Acquire();
   InflightSlot& state = slots_[slot];
   state.offset = job.offset;
   state.n = job.patterns.size();
@@ -243,7 +238,7 @@ void ZoneScheduler::OnDeviceWriteDone(uint32_t slot, const Status& status) {
   const bool has_oobs = state.has_oobs;
   const int attempts = state.attempts;
   WriteCallback cb = std::move(state.cb);
-  free_slots_.push_back(slot);
+  slots_.Release(slot);
   if (IsRetriable(status) && attempts < max_retries_) {
     // Transient device error: rebuild the job from the retained per-block
     // patterns/OOBs and re-dispatch after backoff. The pending_/inflight_

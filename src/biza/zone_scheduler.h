@@ -33,6 +33,7 @@
 #include <functional>
 #include <vector>
 
+#include "src/common/slot_pool.h"
 #include "src/common/status.h"
 #include "src/metrics/tracer.h"
 #include "src/sim/simulator.h"
@@ -183,7 +184,7 @@ class ZoneScheduler {
   // from scheduler state instead of copying every job defensively.
   std::vector<OobRecord> oobs_;
   std::deque<Job> queue_;
-  // State of each device write in flight, recycled through free_slots_.
+  // State of each device write in flight.
   struct InflightSlot {
     uint64_t offset = 0;
     uint64_t n = 0;
@@ -191,8 +192,7 @@ class ZoneScheduler {
     int attempts = 0;
     WriteCallback cb;
   };
-  std::vector<InflightSlot> slots_;
-  std::vector<uint32_t> free_slots_;
+  SlotPool<InflightSlot> slots_;
   int64_t queue_delay_ewma_ns_ = 0;
   std::function<void(uint64_t, uint64_t)> dispatch_observer_;
 };

@@ -20,8 +20,9 @@ namespace biza {
 class InlineCallback {
  public:
   // Sized so an InlineCallback is one cache line together with its ops
-  // pointer. Covers captures of ~6 pointers/words.
-  static constexpr size_t kInlineSize = 48;
+  // pointer (asserted below). Covers captures of ~7 pointers/words: a
+  // std::function plus a vector, or a std::function plus three words.
+  static constexpr size_t kInlineSize = 56;
 
   InlineCallback() noexcept = default;
 
@@ -149,6 +150,9 @@ class InlineCallback {
   alignas(std::max_align_t) unsigned char storage_[kInlineSize];
   const Ops* ops_ = nullptr;
 };
+
+static_assert(sizeof(InlineCallback) == 64,
+              "an InlineCallback (buffer + ops pointer) is one cache line");
 
 }  // namespace biza
 

@@ -345,6 +345,9 @@ void Platform::Quiesce(Simulator* sim) {
   if (biza_ != nullptr) {
     assert(biza_->CheckFreeZoneCounts().ok());
   }
+  if (zapraid_ != nullptr) {
+    assert(zapraid_->CheckFreeGroupCount().ok());
+  }
 }
 
 std::vector<ZnsDevice*> Platform::zns_devices() {

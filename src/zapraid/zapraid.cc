@@ -5,6 +5,7 @@
 #include <cassert>
 #include <memory>
 #include <span>
+#include <string>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -36,18 +37,27 @@ ZapRaid::ZapRaid(Simulator* sim, std::vector<ZnsDevice*> devices,
       config_.exposed_capacity_ratio * static_cast<double>(num_zones_) *
       static_cast<double>(zone_cap_) * static_cast<double>(k_));
   groups_.resize(num_zones_);
+  free_groups_ = num_zones_;
   device_failed_.assign(static_cast<size_t>(n_), false);
   l2p_.Reserve(exposed_blocks_);
 }
 
-uint64_t ZapRaid::FreeGroupCount() const {
-  uint64_t free = 0;
-  for (const Group& g : groups_) {
-    if (g.use == GroupUse::kFree) {
-      ++free;
-    }
+ZapRaid::~ZapRaid() {
+  // Closures still parked in device-read slots (a crash dropped their
+  // completions) may hold rebuild batch tokens; with the rebuild marked
+  // inactive, releasing them schedules nothing on the simulator.
+  rebuild_.active = false;
+}
+
+void ZapRaid::SetGroupUse(uint32_t g, GroupUse use) {
+  Group& grp = groups_[g];
+  if (grp.use == GroupUse::kFree) {
+    --free_groups_;
   }
-  return free;
+  if (use == GroupUse::kFree) {
+    ++free_groups_;
+  }
+  grp.use = use;
 }
 
 bool ZapRaid::EnsureBuilderOpen(int b) {
@@ -58,7 +68,7 @@ bool ZapRaid::EnsureBuilderOpen(int b) {
   // User appends stall rather than dip into the GC reserve; the GC/rebuild
   // frontier only needs one free group to make forward progress.
   const uint64_t reserve = (b == kUserBuilder) ? config_.reserved_groups : 0;
-  if (FreeGroupCount() <= reserve) {
+  if (free_groups_ <= reserve) {
     return false;
   }
   std::vector<int> members;
@@ -80,8 +90,8 @@ bool ZapRaid::EnsureBuilderOpen(int b) {
   if (group == num_zones_) {
     return false;
   }
+  SetGroupUse(group, GroupUse::kOpen);
   Group& grp = groups_[group];
-  grp.use = GroupUse::kOpen;
   grp.valid = 0;
   grp.data_chunks = 0;
   grp.members = 0;
@@ -139,8 +149,7 @@ void ZapRaid::EnsureRowOpen(int b) {
 }
 
 bool ZapRaid::AppendChunk(int b, uint64_t pattern, OobRecord oob, WriteTag tag,
-                          std::function<void(const Status&)> done,
-                          uint64_t repoint_from) {
+                          ChunkDone done, uint64_t repoint_from) {
   if (!EnsureBuilderOpen(b)) {
     return false;
   }
@@ -169,20 +178,21 @@ bool ZapRaid::AppendChunk(int b, uint64_t pattern, OobRecord oob, WriteTag tag,
       // still references the source location — a concurrent overwrite wins
       // and this chunk is garbage on arrival (still written so the original
       // ack stays backed by a durable copy).
-      const L2pEntry cur = l2p_.Get(oob.lbn);
-      if (cur.pa == repoint_from &&
-          (requeue_wsn == 0 || cur.wsn == requeue_wsn)) {
+      L2pEntry* cur = l2p_.Find(oob.lbn);
+      if (cur != nullptr && cur->pa == repoint_from &&
+          (requeue_wsn == 0 || cur->wsn == requeue_wsn)) {
         InvalidatePa(repoint_from);
-        l2p_.Set(oob.lbn, L2pEntry{pa, oob.sn});
+        *cur = L2pEntry{pa, oob.sn};
         ++grp.valid;
         mapped = true;
       }
     } else {
-      const L2pEntry cur = l2p_.Get(oob.lbn);
+      // One probe: a new LBN's entry starts unmapped.
+      L2pEntry& cur = l2p_.Upsert(oob.lbn);
       if (cur.pa != kInvalidPa) {
         InvalidatePa(cur.pa);
       }
-      l2p_.Set(oob.lbn, L2pEntry{pa, oob.sn});
+      cur = L2pEntry{pa, oob.sn};
       ++grp.valid;
       mapped = true;
     }
@@ -193,7 +203,7 @@ bool ZapRaid::AppendChunk(int b, uint64_t pattern, OobRecord oob, WriteTag tag,
       // Monotonic wsn keeps an old requeue from clobbering a newer pending
       // overwrite; a superseded chunk (mapped == false) must never land
       // here — its payload is stale.
-      PendingWrite& pw = pending_[oob.lbn];
+      PendingWrite& pw = pending_.Upsert(oob.lbn);
       if (pw.wsn <= oob.sn) {
         pw = PendingWrite{pattern, oob.sn};
       }
@@ -209,7 +219,7 @@ bool ZapRaid::AppendChunk(int b, uint64_t pattern, OobRecord oob, WriteTag tag,
   op.pattern = pattern;
   op.oob = oob;
   op.tag = tag;
-  op.done = std::move(done);
+  op.done = done;
   ++stats_.appended_chunks;
   Enqueue(bd.io, device, std::move(op));
 
@@ -296,8 +306,7 @@ void ZapRaid::SealGroup(int b) {
     return;
   }
   CloseRowEarly(b);
-  Group& grp = groups_[bd.group];
-  grp.use = GroupUse::kSealed;
+  SetGroupUse(bd.group, GroupUse::kSealed);
   // Trailing sentinel per member zone: FINISH the zone once its queue
   // drains, releasing the device's open-zone resources.
   for (int d : bd.members) {
@@ -339,18 +348,24 @@ void ZapRaid::Dispatch(const std::shared_ptr<GroupIo>& io, int device) {
   // One batch in flight per zone (the RAIZN discipline): sequential zones
   // require offset == write pointer at *arrival*, so overlapping batches
   // would race through dispatch jitter.
-  std::vector<ChunkOp> ops;
+  const uint32_t id = batches_.Acquire();
+  WriteBatch& batch = batches_[id];
+  batch.io = io;
+  batch.device = device;
+  batch.attempt = 0;
+  batch.start = sim_->Now();
+  batch.ops.clear();
   uint64_t expect = zq.q.front().offset;
-  while (!zq.q.empty() && ops.size() < config_.dispatch_batch_blocks &&
+  while (!zq.q.empty() && batch.ops.size() < config_.dispatch_batch_blocks &&
          !zq.q.front().finish_sentinel && zq.q.front().offset == expect) {
-    ops.push_back(std::move(zq.q.front()));
+    batch.ops.push_back(zq.q.front());
     zq.q.pop_front();
     --queued_ops_;
     ++expect;
   }
   zq.busy = true;
   ++inflight_;
-  DeviceWriteBatch(io, device, std::move(ops), 0, sim_->Now());
+  SubmitBatch(id);
 }
 
 void ZapRaid::FinishZoneIfOpen(int device, uint32_t zone) {
@@ -364,82 +379,92 @@ void ZapRaid::FinishZoneIfOpen(int device, uint32_t zone) {
   }
 }
 
-void ZapRaid::DeviceWriteBatch(const std::shared_ptr<GroupIo>& io, int device,
-                               std::vector<ChunkOp> ops, int attempt,
-                               SimTime start) {
+void ZapRaid::SubmitBatch(uint32_t id) {
+  const WriteBatch& batch = batches_[id];
   std::vector<uint64_t> patterns;
   std::vector<OobRecord> oobs;
-  patterns.reserve(ops.size());
-  oobs.reserve(ops.size());
-  for (const ChunkOp& op : ops) {
+  patterns.reserve(batch.ops.size());
+  oobs.reserve(batch.ops.size());
+  for (const ChunkOp& op : batch.ops) {
     patterns.push_back(op.pattern);
     oobs.push_back(op.oob);
   }
-  const uint64_t offset = ops.front().offset;
-  auto shared_ops = std::make_shared<std::vector<ChunkOp>>(std::move(ops));
-  devices_[static_cast<size_t>(device)]->SubmitWrite(
-      io->group, offset, std::move(patterns), std::move(oobs),
-      [this, io, device, shared_ops, attempt, start](const Status& status) {
-        ZoneQueue& zq = io->queues[static_cast<size_t>(device)];
-        if (status.ok()) {
-          if (health_ != nullptr) {
-            health_->RecordLatency(device, DeviceHealthMonitor::Kind::kWrite,
-                                   -1, sim_->Now() - start, sim_->Now());
-          }
-          zq.busy = false;
-          --inflight_;
-          for (ChunkOp& op : *shared_ops) {
-            MarkDurable(io->group, device, op);
-          }
-          Dispatch(io, device);
-          CheckGroupDrained(io);
-          MaybeFlushDone();
-          return;
-        }
-        if (IsRetriable(status) && attempt < config_.max_io_retries) {
-          ++stats_.write_retries;
-          sim_->Schedule(
-              RetryBackoffNs(attempt, config_.retry_backoff_base_ns),
-              [this, io, device, shared_ops, attempt, start] {
-                DeviceWriteBatch(io, device, std::move(*shared_ops),
-                                 attempt + 1, start);
-              });
-          return;
-        }
-        --inflight_;
-        if (status.code() == ErrorCode::kUnavailable) {
-          // The member died with this batch in flight: enter degraded mode
-          // and re-append the batch's chunks onto live members.
-          zq.busy = false;
-          OnDeviceUnavailable(device);
-          for (ChunkOp& op : *shared_ops) {
-            RequeueOp(TagBuilder(op.tag), std::move(op), io->group, device);
-          }
-        } else {
-          BIZA_LOG_ERROR("zapraid: write dev %d zone %u failed: %s", device,
-                         io->group, status.ToString().c_str());
-          // Terminal zone failure: nothing programmed, so the zone's write
-          // pointer no longer matches the queued offsets and later batches
-          // could never land either. Re-home the batch and everything
-          // queued behind it — the member-death discipline scoped to this
-          // one zone. The repoint machinery rolls the L2P forward and the
-          // host copy backs reads until the new home programs, so no ack
-          // breaks and no pending_ entry leaks. `zq.busy` stays held until
-          // the purge so nothing re-dispatches into the broken zone.
-          for (int b = 0; b < kNumBuilders; ++b) {
-            if (builders_[b].open && builders_[b].group == io->group) {
-              DropBuilderMember(b, device);
-            }
-          }
-          for (ChunkOp& op : *shared_ops) {
-            RequeueOp(TagBuilder(op.tag), std::move(op), io->group, device);
-          }
-          zq.busy = false;
-          PurgeQueue(io, device);
-        }
-        CheckGroupDrained(io);
-        MaybeFlushDone();
-      });
+  devices_[static_cast<size_t>(batch.device)]->SubmitWrite(
+      batch.io->group, batch.ops.front().offset, std::move(patterns),
+      std::move(oobs),
+      [this, id](const Status& status) { OnBatchWritten(id, status); });
+}
+
+void ZapRaid::OnBatchWritten(uint32_t id, const Status& status) {
+  // Chunk completions may dispatch new batches (growing the slab), so the
+  // slot is re-indexed after every call and released at the end.
+  const std::shared_ptr<GroupIo> io = batches_[id].io;
+  const int device = batches_[id].device;
+  ZoneQueue& zq = io->queues[static_cast<size_t>(device)];
+  if (status.ok()) {
+    if (health_ != nullptr) {
+      health_->RecordLatency(device, DeviceHealthMonitor::Kind::kWrite, -1,
+                             sim_->Now() - batches_[id].start, sim_->Now());
+    }
+    zq.busy = false;
+    --inflight_;
+    for (size_t x = 0; x < batches_[id].ops.size(); ++x) {
+      MarkDurable(io->group, device, batches_[id].ops[x]);
+    }
+    batches_[id].io.reset();
+    batches_.Release(id);
+    Dispatch(io, device);
+    CheckGroupDrained(io);
+    MaybeFlushDone();
+    return;
+  }
+  if (IsRetriable(status) && batches_[id].attempt < config_.max_io_retries) {
+    ++stats_.write_retries;
+    sim_->Schedule(
+        RetryBackoffNs(batches_[id].attempt, config_.retry_backoff_base_ns),
+        [this, id] {
+          ++batches_[id].attempt;
+          SubmitBatch(id);
+        });
+    return;
+  }
+  --inflight_;
+  if (status.code() == ErrorCode::kUnavailable) {
+    // The member died with this batch in flight: enter degraded mode
+    // and re-append the batch's chunks onto live members.
+    zq.busy = false;
+    OnDeviceUnavailable(device);
+    for (size_t x = 0; x < batches_[id].ops.size(); ++x) {
+      RequeueOp(TagBuilder(batches_[id].ops[x].tag), batches_[id].ops[x],
+                io->group, device);
+    }
+  } else {
+    BIZA_LOG_ERROR("zapraid: write dev %d zone %u failed: %s", device,
+                   io->group, status.ToString().c_str());
+    // Terminal zone failure: nothing programmed, so the zone's write
+    // pointer no longer matches the queued offsets and later batches
+    // could never land either. Re-home the batch and everything
+    // queued behind it — the member-death discipline scoped to this
+    // one zone. The repoint machinery rolls the L2P forward and the
+    // host copy backs reads until the new home programs, so no ack
+    // breaks and no pending_ entry leaks. `zq.busy` stays held until
+    // the purge so nothing re-dispatches into the broken zone.
+    for (int b = 0; b < kNumBuilders; ++b) {
+      if (builders_[b].open && builders_[b].group == io->group) {
+        DropBuilderMember(b, device);
+      }
+    }
+    for (size_t x = 0; x < batches_[id].ops.size(); ++x) {
+      RequeueOp(TagBuilder(batches_[id].ops[x].tag), batches_[id].ops[x],
+                io->group, device);
+    }
+    zq.busy = false;
+    PurgeQueue(io, device);
+  }
+  batches_[id].io.reset();
+  batches_.Release(id);
+  CheckGroupDrained(io);
+  MaybeFlushDone();
 }
 
 void ZapRaid::MarkDurable(uint32_t group, int device, const ChunkOp& op) {
@@ -455,14 +480,30 @@ void ZapRaid::MarkDurable(uint32_t group, int device, const ChunkOp& op) {
   } else {
     row.durable |= Bit(device);
     if (op.tag == WriteTag::kData || op.tag == WriteTag::kGcData) {
-      auto it = pending_.find(op.oob.lbn);
-      if (it != pending_.end() && it->second.wsn == op.oob.sn) {
-        pending_.erase(it);
+      const PendingWrite* pw = pending_.Find(op.oob.lbn);
+      if (pw != nullptr && pw->wsn == op.oob.sn) {
+        pending_.Erase(op.oob.lbn);
       }
     }
   }
-  if (op.done) {
-    op.done(OkStatus());
+  CompleteChunk(op.done);
+}
+
+void ZapRaid::CompleteChunk(ChunkDone done) {
+  switch (done.kind) {
+    case ChunkDone::Kind::kNone:
+      return;
+    case ChunkDone::Kind::kWrite:
+      --write_joins_[done.join].pending;
+      FinishWrite(done.join);
+      return;
+    case ChunkDone::Kind::kGcMigration:
+      --gc_victim_pending_;
+      ++stats_.gc_migrated_data;
+      if (gc_active_ && gc_scan_done_ && gc_victim_pending_ == 0) {
+        FinishGcVictim();
+      }
+      return;
   }
 }
 
@@ -527,22 +568,21 @@ void ZapRaid::RequeueOp(int builder, ChunkOp op, uint32_t from_group,
   row.parity_dev = -1;
   row.parity_durable = false;
   ++stats_.requeued_chunks;
-  AppendOrPark(builder, op.pattern, op.oob, op.tag, std::move(op.done),
+  AppendOrPark(builder, op.pattern, op.oob, op.tag, op.done,
                MakePa(from_dev, from_group, op.offset), /*count_stalls=*/true);
 }
 
 void ZapRaid::AppendOrPark(int b, uint64_t pattern, OobRecord oob,
-                           WriteTag tag,
-                           std::function<void(const Status&)> done,
-                           uint64_t repoint_from, bool count_stalls) {
+                           WriteTag tag, ChunkDone done, uint64_t repoint_from,
+                           bool count_stalls) {
   if (AppendChunk(b, pattern, oob, tag, done, repoint_from)) {
     return;
   }
   if (count_stalls) {
     ++stats_.write_stalls;
   }
-  stalled_writes_.push_back([this, b, pattern, oob, tag, done = std::move(done),
-                             repoint_from, count_stalls] {
+  stalled_writes_.push_back([this, b, pattern, oob, tag, done, repoint_from,
+                             count_stalls] {
     AppendOrPark(b, pattern, oob, tag, done, repoint_from, count_stalls);
   });
 }
@@ -579,20 +619,6 @@ void ZapRaid::MaybeFlushDone() {
   }
 }
 
-// Join state for one SubmitWrite: its chunks append one by one (a stall
-// parks the rest of the request) and the callback fires once dispatch is
-// over and every appended chunk is durable.
-struct ZapRaid::WriteJoin {
-  uint64_t lbn = 0;
-  WriteTag tag = WriteTag::kData;
-  std::vector<uint64_t> patterns;
-  uint64_t pending = 0;
-  bool dispatching = false;
-  Status error;
-  WriteCallback cb;
-  SimTime start = 0;
-};
-
 void ZapRaid::SubmitWrite(uint64_t lbn, std::vector<uint64_t> patterns,
                           WriteCallback cb, WriteTag tag) {
   if (lbn + patterns.size() > exposed_blocks_) {
@@ -602,45 +628,44 @@ void ZapRaid::SubmitWrite(uint64_t lbn, std::vector<uint64_t> patterns,
   cpu_.Charge(cpu_id_, config_.costs.request_overhead_ns);
   stats_.user_written_blocks += patterns.size();
 
-  auto join = std::make_shared<WriteJoin>();
-  join->lbn = lbn;
-  join->tag = tag;
-  join->patterns = std::move(patterns);
-  join->cb = std::move(cb);
-  join->start = sim_->Now();
-  DispatchWrite(join, 0);
+  const uint32_t j = write_joins_.Acquire();
+  WriteJoin& join = write_joins_[j];
+  join.lbn = lbn;
+  join.tag = tag;
+  join.patterns = std::move(patterns);
+  join.pending = 0;
+  join.cb = std::move(cb);
+  join.start = sim_->Now();
+  DispatchWrite(j, 0);
   MaybeStartGc();
 }
 
-void ZapRaid::DispatchWrite(const std::shared_ptr<WriteJoin>& join, size_t i) {
-  join->dispatching = true;
-  for (; i < join->patterns.size(); ++i) {
-    OobRecord oob{join->lbn + i, 0, join->tag};
+void ZapRaid::DispatchWrite(uint32_t j, size_t i) {
+  write_joins_[j].dispatching = true;
+  for (; i < write_joins_[j].patterns.size(); ++i) {
+    const WriteJoin& join = write_joins_[j];
     const bool ok = AppendChunk(
-        TagBuilder(join->tag), join->patterns[i], oob, join->tag,
-        [this, join](const Status& status) {
-          if (!status.ok() && join->error.ok()) {
-            join->error = status;
-          }
-          --join->pending;
-          FinishWrite(*join);
-        });
+        TagBuilder(join.tag), join.patterns[i],
+        OobRecord{join.lbn + i, 0, join.tag}, join.tag,
+        ChunkDone{ChunkDone::Kind::kWrite, j});
     if (!ok) {
       // No free group: park the rest of the request until GC frees one.
+      // The join stays dispatching, so chunks already appended cannot ack
+      // the request before its remainder is appended.
       ++stats_.write_stalls;
-      stalled_writes_.push_back([this, join, i] { DispatchWrite(join, i); });
-      join->dispatching = false;
+      stalled_writes_.push_back([this, j, i] { DispatchWrite(j, i); });
       MaybeStartGc();
       return;
     }
-    ++join->pending;
+    ++write_joins_[j].pending;
   }
-  join->dispatching = false;
-  FinishWrite(*join);
+  write_joins_[j].dispatching = false;
+  FinishWrite(j);
 }
 
-void ZapRaid::FinishWrite(WriteJoin& join) {
-  if (join.pending != 0 || join.dispatching || !join.cb) {
+void ZapRaid::FinishWrite(uint32_t j) {
+  WriteJoin& join = write_joins_[j];
+  if (join.pending != 0 || join.dispatching) {
     return;
   }
   if (h_write_ != nullptr) {
@@ -650,9 +675,11 @@ void ZapRaid::FinishWrite(WriteJoin& join) {
     obs_->tracer.Record(Tracer::kLaneEngine, span_write_, join.start,
                         sim_->Now(), key_lbn_, 0, key_blocks_, 0);
   }
+  // Chunk data lives on in the zone queues and pending_; the join is done.
   WriteCallback done = std::move(join.cb);
   join.cb = nullptr;
-  done(join.error);
+  write_joins_.Release(j);
+  done(OkStatus());
 }
 
 void ZapRaid::FlushBuffers(std::function<void()> done) {
@@ -669,47 +696,86 @@ void ZapRaid::FlushBuffers(std::function<void()> done) {
 // Read path.
 // --------------------------------------------------------------------------
 
-// Join state for one SubmitRead: blocks land independently (some from the
-// pending map, some direct, some reconstructed) and the callback fires when
-// the last one resolves.
-struct ZapRaid::ReadJoin {
-  std::vector<uint64_t> out;
-  uint64_t pending = 1;  // +1 dispatch guard, released after the loop
-  Status error;
-  BlockTarget::ReadCallback cb;
-  SimTime start = 0;
-};
+uint32_t ZapRaid::NewDevRead(DevRead::Kind kind, int device, uint32_t zone,
+                             uint64_t offset, uint64_t nblocks) {
+  const uint32_t id = dev_reads_.Acquire();
+  DevRead& r = dev_reads_[id];
+  r.kind = kind;
+  r.device = device;
+  r.attempt = 0;
+  r.zone = zone;
+  r.offset = offset;
+  r.nblocks = nblocks;
+  r.start = sim_->Now();
+  return id;
+}
+
+void ZapRaid::SubmitDevRead(uint32_t id) {
+  const DevRead& r = dev_reads_[id];
+  devices_[static_cast<size_t>(r.device)]->SubmitRead(
+      r.zone, r.offset, r.nblocks,
+      [this, id](const Status& status, ZnsDevice::ReadResult result) {
+        OnDevRead(id, status, std::move(result));
+      });
+}
+
+void ZapRaid::OnDevRead(uint32_t id, const Status& status,
+                        ZnsDevice::ReadResult result) {
+  DevRead& r = dev_reads_[id];
+  if (status.ok()) {
+    if (health_ != nullptr) {
+      health_->RecordLatency(r.device, DeviceHealthMonitor::Kind::kRead, -1,
+                             sim_->Now() - r.start, sim_->Now());
+    }
+  } else if (IsRetriable(status) && r.attempt < config_.max_io_retries) {
+    ++stats_.read_retries;
+    sim_->Schedule(RetryBackoffNs(r.attempt, config_.retry_backoff_base_ns),
+                   [this, id] {
+                     ++dev_reads_[id].attempt;
+                     SubmitDevRead(id);
+                   });
+    return;
+  }
+  switch (r.kind) {
+    case DevRead::Kind::kBlock: {
+      const uint32_t join = r.join;
+      const uint64_t slot = r.slot;
+      const uint64_t lbn = r.lbn;
+      const int device = r.device;
+      dev_reads_.Release(id);
+      if (status.code() == ErrorCode::kUnavailable) {
+        // Death detected on the read path: degrade and re-drive this block
+        // through the host copy or a fresh lookup (its home may have moved
+        // under the requeue machinery).
+        OnDeviceUnavailable(device);
+        RedriveRead(lbn, slot, join);
+        return;
+      }
+      LandRead(join, slot, status, status.ok() ? result.patterns[0] : 0);
+      return;
+    }
+    case DevRead::Kind::kGcRun:
+      OnGcRunRead(id, status, result.patterns);
+      return;
+    case DevRead::Kind::kCallback: {
+      auto cb = std::move(r.cb);
+      r.cb = nullptr;
+      dev_reads_.Release(id);
+      if (cb) {
+        cb(status, std::move(result.patterns));
+      }
+      return;
+    }
+  }
+}
 
 void ZapRaid::DeviceRead(
-    int device, uint32_t zone, uint64_t offset, uint64_t nblocks, int attempt,
-    SimTime start,
+    int device, uint32_t zone, uint64_t offset, uint64_t nblocks,
     std::function<void(const Status&, std::vector<uint64_t>)> cb) {
-  devices_[static_cast<size_t>(device)]->SubmitRead(
-      zone, offset, nblocks,
-      [this, device, zone, offset, nblocks, attempt, start,
-       cb = std::move(cb)](const Status& status,
-                           ZnsDevice::ReadResult result) mutable {
-        if (status.ok()) {
-          if (health_ != nullptr) {
-            health_->RecordLatency(device, DeviceHealthMonitor::Kind::kRead,
-                                   -1, sim_->Now() - start, sim_->Now());
-          }
-          cb(status, std::move(result.patterns));
-          return;
-        }
-        if (IsRetriable(status) && attempt < config_.max_io_retries) {
-          ++stats_.read_retries;
-          sim_->Schedule(
-              RetryBackoffNs(attempt, config_.retry_backoff_base_ns),
-              [this, device, zone, offset, nblocks, attempt, start,
-               cb = std::move(cb)]() mutable {
-                DeviceRead(device, zone, offset, nblocks, attempt + 1, start,
-                           std::move(cb));
-              });
-          return;
-        }
-        cb(status, {});
-      });
+  const uint32_t id =
+      NewDevRead(DevRead::Kind::kCallback, device, zone, offset, nblocks);
+  dev_reads_[id].cb = std::move(cb);
+  SubmitDevRead(id);
 }
 
 bool ZapRaid::CanReconstructRow(const Group& grp, const RowMeta& meta,
@@ -776,9 +842,8 @@ void ZapRaid::ReconstructChunk(
   st->pending = sources.size();
   st->epoch = grp.epoch;
   st->cb = std::move(cb);
-  const SimTime start = sim_->Now();
   for (int src : sources) {
-    DeviceRead(src, group, row, 1, 0, start,
+    DeviceRead(src, group, row, 1,
                [this, st, group](const Status& status,
                                  std::vector<uint64_t> patterns) {
                  if (!status.ok()) {
@@ -812,81 +877,91 @@ void ZapRaid::SubmitRead(uint64_t lbn, uint64_t nblocks, ReadCallback cb) {
   cpu_.Charge(cpu_id_, config_.costs.request_overhead_ns);
   stats_.user_read_blocks += nblocks;
 
-  auto join = std::make_shared<ReadJoin>();
-  join->out.assign(nblocks, 0);
-  join->cb = std::move(cb);
-  join->start = sim_->Now();
-  auto release = [this, join] {
-    if (--join->pending != 0) {
-      return;
-    }
-    if (h_read_ != nullptr) {
-      h_read_->Record(sim_->Now() - join->start);
-    }
-    if (obs_ != nullptr && obs_->tracer.Armed(join->start)) {
-      obs_->tracer.Record(Tracer::kLaneEngine, span_read_, join->start,
-                          sim_->Now(), key_lbn_, 0, key_blocks_,
-                          static_cast<int64_t>(join->out.size()));
-    }
-    join->cb(join->error, std::move(join->out));
-  };
-
+  const uint32_t j = read_joins_.Acquire();
+  {
+    ReadJoin& join = read_joins_[j];
+    join.out.assign(nblocks, 0);
+    join.pending = 1;
+    join.error = OkStatus();
+    join.cb = std::move(cb);
+    join.start = sim_->Now();
+  }
   for (uint64_t i = 0; i < nblocks; ++i) {
     cpu_.Charge(cpu_id_, config_.costs.map_lookup_ns);
     const uint64_t cur = lbn + i;
-    auto pit = pending_.find(cur);
-    if (pit != pending_.end()) {
-      join->out[i] = pit->second.pattern;
+    if (const PendingWrite* pw = pending_.Find(cur); pw != nullptr) {
+      read_joins_[j].out[i] = pw->pattern;
       continue;
     }
     const L2pEntry entry = l2p_.Get(cur);
     if (entry.pa == kInvalidPa) {
       continue;  // never written: reads as zero
     }
-    ++join->pending;
-    ReadBlock(cur, entry, i, join, release);
+    ++read_joins_[j].pending;
+    ReadBlock(cur, entry, i, j);
   }
-  release();
+  ReleaseRead(j);
 }
 
-void ZapRaid::RedriveRead(uint64_t lbn, uint64_t slot,
-                          const std::shared_ptr<ReadJoin>& join,
-                          std::function<void()> release) {
+void ZapRaid::LandRead(uint32_t j, uint64_t slot, const Status& status,
+                       uint64_t pattern) {
+  ReadJoin& join = read_joins_[j];
+  if (!status.ok()) {
+    if (join.error.ok()) {
+      join.error = status;
+    }
+  } else {
+    join.out[slot] = pattern;
+  }
+  ReleaseRead(j);
+}
+
+void ZapRaid::ReleaseRead(uint32_t j) {
+  ReadJoin& join = read_joins_[j];
+  if (--join.pending != 0) {
+    return;
+  }
+  if (h_read_ != nullptr) {
+    h_read_->Record(sim_->Now() - join.start);
+  }
+  if (obs_ != nullptr && obs_->tracer.Armed(join.start)) {
+    obs_->tracer.Record(Tracer::kLaneEngine, span_read_, join.start,
+                        sim_->Now(), key_lbn_, 0, key_blocks_,
+                        static_cast<int64_t>(join.out.size()));
+  }
+  ReadCallback done = std::move(join.cb);
+  join.cb = nullptr;
+  std::vector<uint64_t> out = std::move(join.out);
+  const Status error = join.error;
+  read_joins_.Release(j);
+  done(error, std::move(out));
+}
+
+void ZapRaid::RedriveRead(uint64_t lbn, uint64_t slot, uint32_t j) {
   // Re-drive one block after its home member died mid-read. The requeue
   // machinery may already have re-pointed the L2P at a new, not-yet-
   // programmed home, so the host copy in pending_ must be consulted first
   // (exactly as SubmitRead does) before chasing the fresh mapping.
-  auto pit = pending_.find(lbn);
-  if (pit != pending_.end()) {
-    join->out[slot] = pit->second.pattern;
-    release();
+  if (const PendingWrite* pw = pending_.Find(lbn); pw != nullptr) {
+    LandRead(j, slot, OkStatus(), pw->pattern);
     return;
   }
   const L2pEntry now = l2p_.Get(lbn);
   if (now.pa == kInvalidPa) {
-    join->out[slot] = 0;
-    release();
+    LandRead(j, slot, OkStatus(), 0);
     return;
   }
-  ReadBlock(lbn, now, slot, join, std::move(release));
+  ReadBlock(lbn, now, slot, j);
 }
 
 void ZapRaid::ReadBlock(uint64_t lbn, L2pEntry entry, uint64_t slot,
-                        const std::shared_ptr<ReadJoin>& join,
-                        std::function<void()> release) {
+                        uint32_t j) {
   const int device = PaDevice(entry.pa);
   const uint32_t group = PaGroup(entry.pa);
   const uint64_t row = PaRow(entry.pa);
 
-  auto land = [join, slot, release](const Status& status, uint64_t pattern) {
-    if (!status.ok()) {
-      if (join->error.ok()) {
-        join->error = status;
-      }
-    } else {
-      join->out[slot] = pattern;
-    }
-    release();
+  auto land = [this, j, slot](const Status& status, uint64_t pattern) {
+    LandRead(j, slot, status, pattern);
   };
 
   const bool on_replacement = rebuild_.active && rebuild_.device == device &&
@@ -905,7 +980,7 @@ void ZapRaid::ReadBlock(uint64_t lbn, L2pEntry entry, uint64_t slot,
     ++stats_.recon_around_reads;
     if (health_->ProbeDue(device)) {
       ++stats_.health_probe_reads;
-      DeviceRead(device, group, row, 1, 0, sim_->Now(),
+      DeviceRead(device, group, row, 1,
                  [](const Status&, std::vector<uint64_t>) {});
     }
     ReconstructChunk(entry.pa,
@@ -916,7 +991,7 @@ void ZapRaid::ReadBlock(uint64_t lbn, L2pEntry entry, uint64_t slot,
                          return;
                        }
                        ++stats_.recon_fallbacks;
-                       DeviceRead(device, group, row, 1, 0, sim_->Now(),
+                       DeviceRead(device, group, row, 1,
                                   [land](const Status& st,
                                          std::vector<uint64_t> patterns) {
                                     land(st, st.ok() ? patterns[0] : 0);
@@ -927,14 +1002,14 @@ void ZapRaid::ReadBlock(uint64_t lbn, L2pEntry entry, uint64_t slot,
 
   if (health_ != nullptr && health_->ShouldHedge(device)) {
     // Suspect member: direct read plus a delayed reconstruction leg; first
-    // to land wins.
+    // to land wins. The loser never touches the join (it may be recycled).
     ++stats_.hedged_reads;
     struct Hedge {
       bool done = false;
     };
     auto hedge = std::make_shared<Hedge>();
-    DeviceRead(device, group, row, 1, 0, sim_->Now(),
-               [this, hedge, land, lbn, slot, join, release, device](
+    DeviceRead(device, group, row, 1,
+               [this, hedge, land, lbn, slot, j, device](
                    const Status& status, std::vector<uint64_t> patterns) {
                  if (status.code() == ErrorCode::kUnavailable) {
                    // The suspect died mid-hedge: degrade exactly like the
@@ -945,7 +1020,7 @@ void ZapRaid::ReadBlock(uint64_t lbn, L2pEntry entry, uint64_t slot,
                      return;
                    }
                    hedge->done = true;
-                   RedriveRead(lbn, slot, join, release);
+                   RedriveRead(lbn, slot, j);
                    return;
                  }
                  if (hedge->done) {
@@ -977,19 +1052,12 @@ void ZapRaid::ReadBlock(uint64_t lbn, L2pEntry entry, uint64_t slot,
     return;
   }
 
-  DeviceRead(device, group, row, 1, 0, sim_->Now(),
-             [this, lbn, slot, join, release, land, device](
-                 const Status& status, std::vector<uint64_t> patterns) {
-               if (status.code() == ErrorCode::kUnavailable) {
-                 // Death detected on the read path: degrade and re-drive
-                 // this block through the host copy or a fresh lookup (its
-                 // home may have moved under the requeue machinery).
-                 OnDeviceUnavailable(device);
-                 RedriveRead(lbn, slot, join, release);
-                 return;
-               }
-               land(status, status.ok() ? patterns[0] : 0);
-             });
+  const uint32_t id = NewDevRead(DevRead::Kind::kBlock, device, group, row, 1);
+  DevRead& r = dev_reads_[id];
+  r.join = j;
+  r.slot = slot;
+  r.lbn = lbn;
+  SubmitDevRead(id);
 }
 
 void ZapRaid::DropBuilderMember(int b, int device) {
@@ -1060,7 +1128,7 @@ void ZapRaid::MaybeStartGc() {
     return;
   }
   const double free_ratio =
-      static_cast<double>(FreeGroupCount()) / static_cast<double>(num_zones_);
+      static_cast<double>(free_groups_) / static_cast<double>(num_zones_);
   if (free_ratio >= config_.gc_trigger_free_ratio && stalled_writes_.empty()) {
     return;
   }
@@ -1136,13 +1204,8 @@ void ZapRaid::GcStep() {
   const SimTime step_start = sim_->Now();
   const uint32_t victim = gc_victim_;
   Group& grp = groups_[victim];
-  struct Cand {
-    int dev;
-    uint64_t row;
-    uint64_t lbn;
-    uint32_t wsn;
-  };
-  std::vector<Cand> cands;
+  std::vector<GcCand>& cands = gc_cands_;
+  cands.clear();
   uint64_t row = gc_row_;
   for (; row < zone_cap_ && cands.size() < config_.gc_batch_chunks; ++row) {
     if (grp.rows.empty() || grp.rows[row].present == 0) {
@@ -1164,7 +1227,7 @@ void ZapRaid::GcStep() {
       if (e.pa != MakePa(d, victim, row) || e.wsn != oob->sn) {
         continue;  // superseded: garbage, reclaimed with the zone reset
       }
-      cands.push_back(Cand{d, row, oob->lbn, oob->sn});
+      cands.push_back(GcCand{d, row, oob->lbn, oob->sn});
     }
   }
   gc_row_ = row;
@@ -1185,22 +1248,14 @@ void ZapRaid::GcStep() {
     // else: the last migration's durability callback finishes the victim
     return;
   }
-  std::sort(cands.begin(), cands.end(), [](const Cand& a, const Cand& b) {
+  std::sort(cands.begin(), cands.end(), [](const GcCand& a, const GcCand& b) {
     return a.dev != b.dev ? a.dev < b.dev : a.row < b.row;
   });
-  // Shared batch token: when the last victim read lands, either the scan
-  // continues or the victim finishes (migration callbacks handle the rest).
-  const uint64_t epoch = grp.epoch;
-  auto batch = std::shared_ptr<void>(nullptr, [this](void*) {
-    if (!gc_active_) {
-      return;
-    }
-    if (!gc_scan_done_) {
-      sim_->Schedule(0, [this] { GcStep(); });
-    } else if (gc_victim_pending_ == 0) {
-      FinishGcVictim();
-    }
-  });
+  // One read per contiguous run of a member's candidates. When the batch's
+  // last read lands, either the scan continues or the victim finishes
+  // (migration callbacks handle the rest).
+  const uint32_t batch = gc_batches_.Acquire();
+  gc_batches_[batch] = 0;
   size_t i = 0;
   while (i < cands.size()) {
     size_t j = i + 1;
@@ -1208,49 +1263,64 @@ void ZapRaid::GcStep() {
            cands[j].row == cands[j - 1].row + 1) {
       ++j;
     }
-    const int dev = cands[i].dev;
-    const uint64_t start_row = cands[i].row;
-    std::vector<Cand> run(cands.begin() + static_cast<long>(i),
-                          cands.begin() + static_cast<long>(j));
+    const uint32_t id = NewDevRead(DevRead::Kind::kGcRun, cands[i].dev, victim,
+                                   cands[i].row, j - i);
+    DevRead& r = dev_reads_[id];
+    r.gc_batch = batch;
+    r.epoch = grp.epoch;
+    r.run.assign(cands.begin() + static_cast<long>(i),
+                 cands.begin() + static_cast<long>(j));
+    ++gc_batches_[batch];
+    SubmitDevRead(id);
     i = j;
-    // `run.size()` must be read before the capture below moves `run` out
-    // (argument evaluation order is unspecified).
-    const uint64_t run_blocks = run.size();
-    DeviceRead(
-        dev, victim, start_row, run_blocks, 0, sim_->Now(),
-        [this, dev, victim, epoch, run = std::move(run), batch](
-            const Status& status, std::vector<uint64_t> patterns) {
-          if (!status.ok() || groups_[victim].epoch != epoch) {
-            return;  // re-found by the next scan pass if still valid
-          }
-          for (size_t x = 0; x < run.size(); ++x) {
-            const Cand& c = run[x];
-            const uint64_t pa = MakePa(dev, victim, c.row);
-            const L2pEntry e = l2p_.Get(c.lbn);
-            if (e.pa != pa || e.wsn != c.wsn) {
-              continue;  // overwritten while the read was in flight
-            }
-            ++gc_victim_pending_;
-            GcAppend(c.lbn, c.wsn, patterns[x], pa);
-          }
-        });
+  }
+}
+
+void ZapRaid::OnGcRunRead(uint32_t id, const Status& status,
+                          const std::vector<uint64_t>& patterns) {
+  // Migrations may acquire device reads (growing the slab), so the run is
+  // re-indexed per chunk and the slot released after it.
+  const uint32_t victim = dev_reads_[id].zone;
+  const int dev = dev_reads_[id].device;
+  if (status.ok() && groups_[victim].epoch == dev_reads_[id].epoch) {
+    for (size_t x = 0; x < dev_reads_[id].run.size(); ++x) {
+      const GcCand c = dev_reads_[id].run[x];
+      const uint64_t pa = MakePa(dev, victim, c.row);
+      const L2pEntry e = l2p_.Get(c.lbn);
+      if (e.pa != pa || e.wsn != c.wsn) {
+        continue;  // overwritten while the read was in flight
+      }
+      ++gc_victim_pending_;
+      GcAppend(c.lbn, c.wsn, patterns[x], pa);
+    }
+  }
+  // else: re-found by the next scan pass if still valid
+  const uint32_t batch = dev_reads_[id].gc_batch;
+  dev_reads_.Release(id);
+  if (--gc_batches_[batch] == 0) {
+    gc_batches_.Release(batch);
+    OnGcBatchDone();
+  }
+}
+
+void ZapRaid::OnGcBatchDone() {
+  if (!gc_active_) {
+    return;
+  }
+  if (!gc_scan_done_) {
+    sim_->Schedule(0, [this] { GcStep(); });
+  } else if (gc_victim_pending_ == 0) {
+    FinishGcVictim();
   }
 }
 
 void ZapRaid::GcAppend(uint64_t lbn, uint32_t wsn, uint64_t pattern,
                        uint64_t from_pa) {
-  auto done = [this](const Status&) {
-    --gc_victim_pending_;
-    ++stats_.gc_migrated_data;
-    if (gc_active_ && gc_scan_done_ && gc_victim_pending_ == 0) {
-      FinishGcVictim();
-    }
-  };
   // Preserving the original wsn keeps the recovery total order intact: the
   // migrated copy is the *same* version, not a newer one.
   AppendOrPark(kGcBuilder, pattern, OobRecord{lbn, wsn, WriteTag::kGcData},
-               WriteTag::kGcData, std::move(done), from_pa,
-               /*count_stalls=*/false);
+               WriteTag::kGcData, ChunkDone{ChunkDone::Kind::kGcMigration, 0},
+               from_pa, /*count_stalls=*/false);
 }
 
 void ZapRaid::FinishGcVictim() {
@@ -1292,7 +1362,7 @@ void ZapRaid::FinishGcVictim() {
         ++stats_.gc_zone_resets;
       }
     }
-    grp.use = GroupUse::kFree;
+    SetGroupUse(gc_victim_, GroupUse::kFree);
     grp.valid = 0;
     grp.data_chunks = 0;
     grp.members = 0;
@@ -1303,7 +1373,7 @@ void ZapRaid::FinishGcVictim() {
   }
   RetryStalled();
   const double free_ratio =
-      static_cast<double>(FreeGroupCount()) / static_cast<double>(num_zones_);
+      static_cast<double>(free_groups_) / static_cast<double>(num_zones_);
   if (free_ratio < config_.gc_stop_free_ratio) {
     const int victim = PickGcVictim();
     if (victim >= 0) {
@@ -1456,14 +1526,15 @@ void ZapRaid::RebuildStep() {
       }
       ++rebuild_.chunks_migrated;
       AppendOrPark(kGcBuilder, pattern, OobRecord{lbn, 0, WriteTag::kGcData},
-                   WriteTag::kGcData, nullptr, e.pa, /*count_stalls=*/false);
+                   WriteTag::kGcData, ChunkDone{}, e.pa,
+                   /*count_stalls=*/false);
     };
     if (PaDevice(e.pa) == rebuild_.device) {
       // Chunk died with the member: XOR it back from the row's siblings.
       ReconstructChunk(e.pa, migrate);
     } else {
       // Live-sibling chunk in an affected group: copy it off directly.
-      DeviceRead(PaDevice(e.pa), PaGroup(e.pa), PaRow(e.pa), 1, 0, step_start,
+      DeviceRead(PaDevice(e.pa), PaGroup(e.pa), PaRow(e.pa), 1,
                  [migrate](const Status& status, std::vector<uint64_t> data) {
                    migrate(status, status.ok() ? data[0] : 0);
                  });
@@ -1497,11 +1568,12 @@ Status ZapRaid::Recover() {
     return FailedPreconditionError("zapraid: recover on an active array");
   }
   l2p_.Clear();
-  pending_.clear();
+  pending_.Clear();
   active_io_.clear();
   for (Group& g : groups_) {
     g = Group{};
   }
+  free_groups_ = num_zones_;
   // Quiesce zone state: crash-interrupted zones are finished so their
   // frontier is stable; empty open zones (opened but never written) are
   // reset instead — finishing them would leave useless FULL-empty zones.
@@ -1543,7 +1615,7 @@ Status ZapRaid::Recover() {
         if (grp.rows.empty()) {
           grp.rows.assign(zone_cap_, RowMeta{});
         }
-        grp.use = GroupUse::kSealed;
+        SetGroupUse(z, GroupUse::kSealed);
         grp.members |= Bit(d);
         RowMeta& row = grp.rows[off];
         if (oob->lbn == kPadLbn) {
@@ -1655,7 +1727,7 @@ void ZapRaid::AttachObservability(Observability* obs) {
   reg.RegisterGauge("zapraid.rebuild_active",
                     [this] { return rebuild_.active ? 1 : 0; });
   reg.RegisterGauge("zapraid.free_groups",
-                    [this] { return static_cast<int64_t>(FreeGroupCount()); });
+                    [this] { return static_cast<int64_t>(free_groups_); });
   h_write_ = reg.Histogram("zapraid.write_latency_ns");
   h_read_ = reg.Histogram("zapraid.read_latency_ns");
   span_write_ = obs_->tracer.Intern("zapraid.write");
@@ -1673,12 +1745,30 @@ uint64_t ZapRaid::ResidentStateBytes() const {
   for (const Group& g : groups_) {
     bytes += g.rows.capacity() * sizeof(RowMeta);
   }
-  bytes += pending_.size() * (sizeof(uint64_t) + sizeof(PendingWrite));
+  bytes += pending_.allocated_bytes();
   return bytes;
 }
 
 uint64_t ZapRaid::DebugL2pPa(uint64_t lbn) const { return l2p_.Get(lbn).pa; }
 
-uint64_t ZapRaid::FreeGroups() const { return FreeGroupCount(); }
+uint64_t ZapRaid::FreeGroups() const { return free_groups_; }
+
+Status ZapRaid::CheckFreeGroupCount() const {
+  uint64_t free = 0;
+  for (const Group& g : groups_) {
+    free += g.use == GroupUse::kFree ? 1 : 0;
+  }
+  if (free != free_groups_) {
+    return InternalError("zapraid: " + std::to_string(free) +
+                         " free groups, counter says " +
+                         std::to_string(free_groups_));
+  }
+  return OkStatus();
+}
+
+size_t ZapRaid::PooledSlotsInUse() const {
+  return write_joins_.in_use() + batches_.in_use() + read_joins_.in_use() +
+         dev_reads_.in_use() + gc_batches_.in_use();
+}
 
 }  // namespace biza

@@ -45,6 +45,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/slot_pool.h"
 #include "src/common/sparse_array.h"
 #include "src/engines/target.h"
 #include "src/health/device_health.h"
@@ -96,7 +97,7 @@ class ZapRaid : public BlockTarget {
  public:
   ZapRaid(Simulator* sim, std::vector<ZnsDevice*> devices,
           const ZapRaidConfig& config);
-  ~ZapRaid() override = default;
+  ~ZapRaid() override;
 
   uint64_t capacity_blocks() const override { return exposed_blocks_; }
 
@@ -151,7 +152,14 @@ class ZapRaid : public BlockTarget {
 
   // Test hooks.
   uint64_t DebugL2pPa(uint64_t lbn) const;
-  uint64_t FreeGroups() const;
+  uint64_t FreeGroups() const;  // O(1): a maintained counter
+  // Audit: recounts free groups and compares them with the counter
+  // FreeGroups reports. Platform::Quiesce asserts it in builds with asserts
+  // on.
+  Status CheckFreeGroupCount() const;
+  // Pooled request/I-O slots still held: write and read joins, device reads
+  // and write batches, GC read batches. Zero once the array has drained.
+  size_t PooledSlotsInUse() const;
 
  private:
   static constexpr uint64_t kInvalidPa = ~0ULL;
@@ -207,6 +215,15 @@ class ZapRaid : public BlockTarget {
     std::vector<RowMeta> rows; // sized zone_cap_ while the group holds data
   };
 
+  // What a chunk's durability completes: a user write request (a pooled
+  // WriteJoin), a GC migration of the current victim, or nothing (parity,
+  // pads, rebuild copies). Requeues carry it to the chunk's new home.
+  struct ChunkDone {
+    enum class Kind : uint8_t { kNone, kWrite, kGcMigration };
+    Kind kind = Kind::kNone;
+    uint32_t join = 0;  // write_joins_ index for kWrite
+  };
+
   // One queued chunk program for a (group, device) zone. Zones are
   // sequential-write-required, so each zone runs a one-batch-in-flight FIFO
   // (the RAIZN discipline) — `offset` values are contiguous by construction.
@@ -215,8 +232,8 @@ class ZapRaid : public BlockTarget {
     uint64_t pattern = 0;
     OobRecord oob;
     WriteTag tag = WriteTag::kData;
-    std::function<void(const Status&)> done;  // fires when durable
-    bool finish_sentinel = false;             // FinishZone when dequeued
+    bool finish_sentinel = false;  // FinishZone when dequeued
+    ChunkDone done;                // fires when durable
   };
 
   struct ZoneQueue {
@@ -264,8 +281,9 @@ class ZapRaid : public BlockTarget {
     return !device_failed_[static_cast<size_t>(device)] ||
            (rebuild_.active && rebuild_.device == device);
   }
-  Group& GroupOf(uint32_t g) { return groups_[g]; }
-  uint64_t FreeGroupCount() const;
+  // Every Group::use transition goes through here so free_groups_ stays
+  // exact.
+  void SetGroupUse(uint32_t g, GroupUse use);
 
   // Frontier machinery.
   bool EnsureBuilderOpen(int b);
@@ -276,15 +294,13 @@ class ZapRaid : public BlockTarget {
   // that location (original wsn preserved). Returns false when no group
   // could be opened (caller parks the request).
   bool AppendChunk(int b, uint64_t pattern, OobRecord oob, WriteTag tag,
-                   std::function<void(const Status&)> done,
-                   uint64_t repoint_from = kInvalidPa);
+                   ChunkDone done, uint64_t repoint_from = kInvalidPa);
   // AppendChunk, or — when no group is free — parks the same append in
   // stalled_writes_ until GC frees one. The parked closure owns copies of
   // its arguments and nothing that refers back to it, so it is freed once
   // it runs. `count_stalls` bumps stats_.write_stalls per parked attempt.
   void AppendOrPark(int b, uint64_t pattern, OobRecord oob, WriteTag tag,
-                    std::function<void(const Status&)> done,
-                    uint64_t repoint_from, bool count_stalls);
+                    ChunkDone done, uint64_t repoint_from, bool count_stalls);
   void CloseRow(int b, WriteTag parity_tag);
   void CloseRowEarly(int b);
   void SealGroup(int b);
@@ -295,42 +311,114 @@ class ZapRaid : public BlockTarget {
   // gone terminally bad): closes the in-progress row and seals the group
   // when fewer than two members remain.
   void DropBuilderMember(int b, int device);
-  void DeviceWriteBatch(const std::shared_ptr<GroupIo>& io, int device,
-                        std::vector<ChunkOp> ops, int attempt, SimTime start);
+  // One device write of a zone queue's head run, held in batches_ while in
+  // flight so its completion captures {this, index} and allocates nothing.
+  // The slot's `ops` vector keeps its capacity across reuse.
+  struct WriteBatch {
+    std::shared_ptr<GroupIo> io;
+    std::vector<ChunkOp> ops;
+    int device = 0;
+    int attempt = 0;
+    SimTime start = 0;
+  };
+  // Submits batch `id` (first attempt or a retry) to its device.
+  void SubmitBatch(uint32_t id);
+  void OnBatchWritten(uint32_t id, const Status& status);
   void MarkDurable(uint32_t group, int device, const ChunkOp& op);
+  void CompleteChunk(ChunkDone done);
   void PurgeQueue(const std::shared_ptr<GroupIo>& io, int device);
   void CheckGroupDrained(const std::shared_ptr<GroupIo>& io);
   void RequeueOp(int builder, ChunkOp op, uint32_t from_group, int from_dev);
 
-  // Write-path helpers.
-  struct WriteJoin;
+  // Write-path helpers. Join state for one SubmitWrite, pooled in
+  // write_joins_: its chunks append one by one (a stall parks the rest of
+  // the request) and the callback fires once dispatch is over and every
+  // appended chunk is durable; the slot is released right then. While the
+  // rest of a request is parked it stays `dispatching`, so the chunks
+  // already appended cannot ack it early (nor free the slot the parked
+  // closure names).
+  struct WriteJoin {
+    uint64_t lbn = 0;
+    WriteTag tag = WriteTag::kData;
+    std::vector<uint64_t> patterns;
+    uint64_t pending = 0;
+    bool dispatching = false;
+    WriteCallback cb;
+    SimTime start = 0;
+  };
   // Appends chunks [i, end) of a SubmitWrite; on a stall parks the rest of
   // the request in stalled_writes_.
-  void DispatchWrite(const std::shared_ptr<WriteJoin>& join, size_t i);
+  void DispatchWrite(uint32_t join, size_t i);
   // Fires the request's callback once every chunk is durable.
-  void FinishWrite(WriteJoin& join);
+  void FinishWrite(uint32_t join);
 
   void InvalidatePa(uint64_t pa);
   void RetryStalled();
   void MaybeFlushDone();
   bool AllIdle() const { return inflight_ == 0 && queued_ops_ == 0; }
 
-  // Read-path helpers.
-  struct ReadJoin;
+  // Read-path helpers. Join state for one SubmitRead, pooled in
+  // read_joins_: blocks land independently (some from the pending table,
+  // some direct, some reconstructed) and the callback fires, releasing the
+  // slot, when the last one resolves.
+  struct ReadJoin {
+    std::vector<uint64_t> out;
+    uint64_t pending = 1;  // +1 dispatch guard, released after the loop
+    Status error;
+    ReadCallback cb;
+    SimTime start = 0;
+  };
+  // Stores one resolved block (or the first error) and releases it.
+  void LandRead(uint32_t join, uint64_t slot, const Status& status,
+                uint64_t pattern);
+  void ReleaseRead(uint32_t join);
   // Resolves one block of a SubmitRead: direct read on a healthy home,
   // degraded reconstruction on a dead one, hedged / reconstruct-around
   // variants under health-monitor direction.
-  void ReadBlock(uint64_t lbn, L2pEntry entry, uint64_t slot,
-                 const std::shared_ptr<ReadJoin>& join,
-                 std::function<void()> release);
+  void ReadBlock(uint64_t lbn, L2pEntry entry, uint64_t slot, uint32_t join);
   // Re-resolves one block after its home member died mid-read: serves the
   // host copy from pending_ when the requeue machinery already re-pointed
   // the L2P at a not-yet-programmed home, else re-drives via ReadBlock.
-  void RedriveRead(uint64_t lbn, uint64_t slot,
-                   const std::shared_ptr<ReadJoin>& join,
-                   std::function<void()> release);
+  void RedriveRead(uint64_t lbn, uint64_t slot, uint32_t join);
+  // A valid chunk of the GC victim, found by the scan.
+  struct GcCand {
+    int dev;
+    uint64_t row;
+    uint64_t lbn;
+    uint32_t wsn;
+  };
+  // One device read in flight, held in dev_reads_ so the device callback
+  // captures {this, index}. Every read of the engine goes through it, so
+  // one path retries transient errors and feeds the health monitor; `kind`
+  // says what the data completes. The two hot kinds allocate nothing:
+  // kBlock is the direct read of one SubmitRead block (a dead home
+  // re-drives it via RedriveRead), kGcRun a run of victim candidates
+  // (`run` keeps its capacity across reuse). kCallback carries a closure
+  // for the rest: reconstruction sources, hedges, probes, rebuild copies.
+  struct DevRead {
+    enum class Kind : uint8_t { kBlock, kGcRun, kCallback };
+    Kind kind = Kind::kCallback;
+    int device = 0;
+    int attempt = 0;
+    uint32_t zone = 0;
+    uint64_t offset = 0;
+    uint64_t nblocks = 0;
+    SimTime start = 0;
+    uint32_t join = 0;  // kBlock: read_joins_ index, block slot and LBN
+    uint64_t slot = 0;
+    uint64_t lbn = 0;
+    uint32_t gc_batch = 0;  // kGcRun: gc_batches_ index, victim epoch, run
+    uint64_t epoch = 0;
+    std::vector<GcCand> run;
+    std::function<void(const Status&, std::vector<uint64_t>)> cb;
+  };
+  uint32_t NewDevRead(DevRead::Kind kind, int device, uint32_t zone,
+                      uint64_t offset, uint64_t nblocks);
+  void SubmitDevRead(uint32_t id);
+  void OnDevRead(uint32_t id, const Status& status,
+                 ZnsDevice::ReadResult result);
+  // A read of the given blocks that completes `cb` (kCallback).
   void DeviceRead(int device, uint32_t zone, uint64_t offset, uint64_t nblocks,
-                  int attempt, SimTime start,
                   std::function<void(const Status&, std::vector<uint64_t>)> cb);
   bool CanReconstructRow(const Group& grp, const RowMeta& meta,
                          int target) const;
@@ -343,6 +431,12 @@ class ZapRaid : public BlockTarget {
   // GC machinery (group-granular).
   void MaybeStartGc();
   void GcStep();
+  // Migrates the still-valid chunks of a completed victim read (kGcRun).
+  void OnGcRunRead(uint32_t id, const Status& status,
+                   const std::vector<uint64_t>& patterns);
+  // The last victim read of a GcStep batch landed: continue the scan or
+  // finish the victim.
+  void OnGcBatchDone();
   int PickGcVictim() const;
   // Appends one migrated chunk (original wsn preserved), parking a retry in
   // stalled_writes_ if no destination group is free yet.
@@ -369,11 +463,18 @@ class ZapRaid : public BlockTarget {
   SparseTable<L2pEntry> l2p_;
   uint32_t next_wsn_ = 1;
   std::vector<Group> groups_;
+  uint64_t free_groups_ = 0;  // groups with use == kFree
   std::unordered_map<uint32_t, std::shared_ptr<GroupIo>> active_io_;
   Builder builders_[kNumBuilders];
   // In-flight write content served to reads before the program lands (the
-  // host-DRAM copy of a submitted-but-not-yet-durable block).
-  std::unordered_map<uint64_t, PendingWrite> pending_;
+  // host-DRAM copy of a submitted-but-not-yet-durable block). A flat table:
+  // entries come and go per chunk and are never iterated.
+  SparseTable<PendingWrite> pending_;
+  SlotPool<WriteJoin> write_joins_;
+  SlotPool<WriteBatch> batches_;
+  SlotPool<ReadJoin> read_joins_;
+  SlotPool<DevRead> dev_reads_;
+  SlotPool<uint64_t> gc_batches_;  // victim reads outstanding per GcStep
 
   uint64_t inflight_ = 0;    // device write batches in flight
   uint64_t queued_ops_ = 0;  // chunks sitting in zone queues
@@ -386,6 +487,7 @@ class ZapRaid : public BlockTarget {
   int gc_passes_ = 0;               // consecutive zero-progress rescan passes
   uint64_t gc_pass_valid_ = 0;      // victim valid count at last pass end
   uint64_t gc_victim_pending_ = 0;  // migrations not yet durable
+  std::vector<GcCand> gc_cands_;    // GcStep's scan scratch
   bool gc_scan_done_ = false;
 
   std::vector<bool> device_failed_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <string>
 #include <utility>
 
@@ -385,9 +386,16 @@ void ZnsDevice::DoAppend(uint32_t zone, std::vector<uint64_t> patterns,
 
 void ZnsDevice::SubmitRead(uint32_t zone, uint64_t offset, uint64_t nblocks,
                            ReadCallback cb) {
-  AtArrival([this, zone, offset, nblocks, cb = std::move(cb)]() mutable {
-    DoRead(zone, offset, nblocks, std::move(cb));
-  });
+  // A 32-bit length keeps the capture within InlineCallback's buffer. A
+  // zone holds far fewer than 2^32 blocks, so saturating keeps an oversized
+  // read out of range.
+  const auto n = static_cast<uint32_t>(
+      std::min<uint64_t>(nblocks, std::numeric_limits<uint32_t>::max()));
+  auto arrival = [this, offset, zone, n, cb = std::move(cb)]() mutable {
+    DoRead(zone, offset, n, std::move(cb));
+  };
+  static_assert(sizeof(arrival) <= InlineCallback::kInlineSize);
+  AtArrival(std::move(arrival));
 }
 
 void ZnsDevice::DoRead(uint32_t zone, uint64_t offset, uint64_t nblocks,
@@ -417,7 +425,6 @@ void ZnsDevice::DoRead(uint32_t zone, uint64_t offset, uint64_t nblocks,
   }
   ReadResult result;
   result.patterns.reserve(nblocks);
-  result.oobs.reserve(nblocks);
   bool all_buffered = true;
   for (uint64_t i = 0; i < nblocks; ++i) {
     // Unwritten blocks read back as zero (deallocated-value semantics);
@@ -425,7 +432,6 @@ void ZnsDevice::DoRead(uint32_t zone, uint64_t offset, uint64_t nblocks,
     const Block* block = z.blocks.Peek(offset + i);
     const bool written = block != nullptr && block->written;
     result.patterns.push_back(written ? block->pattern : 0);
-    result.oobs.push_back(written ? block->oob : OobRecord{});
     if (!written || !block->buffered) {
       all_buffered = false;
     }
@@ -443,10 +449,11 @@ void ZnsDevice::DoRead(uint32_t zone, uint64_t offset, uint64_t nblocks,
   }
   const SimTime fin = Stretch(z.channel, done);
   ObserveIo(span_read_, h_read_, fin, zone, offset, nblocks);
-  CompleteIo(fin,
-             [cb = std::move(cb), result = std::move(result)]() mutable {
-               cb(OkStatus(), std::move(result));
-             });
+  auto complete = [cb = std::move(cb), result = std::move(result)]() mutable {
+    cb(OkStatus(), std::move(result));
+  };
+  static_assert(sizeof(complete) <= InlineCallback::kInlineSize);
+  CompleteIo(fin, std::move(complete));
 }
 
 Status ZnsDevice::OpenZone(uint32_t zone, bool with_zrwa) {

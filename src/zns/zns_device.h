@@ -104,9 +104,10 @@ class ZnsDevice {
  public:
   using WriteCallback = std::function<void(const Status&)>;
   using AppendCallback = std::function<void(const Status&, uint64_t offset)>;
+  // OOB records are not returned with data; recovery and GC scans read them
+  // with ReadOobSync.
   struct ReadResult {
     std::vector<uint64_t> patterns;
-    std::vector<OobRecord> oobs;
   };
   using ReadCallback = std::function<void(const Status&, ReadResult)>;
 

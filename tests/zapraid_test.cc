@@ -1,10 +1,16 @@
 // Tests of the ZapRAID engine: group/stripe mapping integrity, pad-on-seal
 // alignment, log-structured parity overhead, group-granular GC, fault
 // handling (degraded reads, auto-detected device death, transient retries),
-// online rebuild, gray-member mitigations, and stripe-header recovery.
+// online rebuild, gray-member mitigations, stripe-header recovery, and the
+// allocation budget and slot lifetimes of the pooled data path.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <functional>
 #include <memory>
+#include <new>
+#include <sstream>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -13,6 +19,30 @@
 #include "src/health/device_health.h"
 #include "src/sim/simulator.h"
 #include "src/zapraid/zapraid.h"
+
+// Counts every global operator new so AllocationsPerRequestStayBounded can
+// measure the data path's heap traffic; otherwise plain malloc/free.
+namespace {
+uint64_t g_operator_new_calls = 0;
+}  // namespace
+
+void* operator new(std::size_t size) {
+  ++g_operator_new_calls;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+// GCC cannot see that the replaced operator new above is malloc-backed.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 namespace biza {
 namespace {
@@ -675,6 +705,304 @@ TEST(ZapRaid, RecoveryRejectsTornRowParity) {
   }
   EXPECT_EQ(wrong, 0u);
   EXPECT_GT(rec.stats().degraded_reads, 0u);
+}
+
+// Closed-loop mix over fixed ranges of `blocks` blocks: keeps `depth`
+// requests outstanding, writes with probability `write_share`, else reads.
+// A range is never written while a write to it is outstanding, and block i
+// of write `id` (ids start at 1) holds (id << 16) | i, so any read can be
+// checked: it must see the range's latest write acked before the read was
+// issued, or a newer one. Completion callbacks capture {this, token} only,
+// keeping the loop's own heap traffic to the write payload vector.
+class MixLoop {
+ public:
+  MixLoop(Fixture* f, uint64_t seed, uint64_t blocks, double write_share,
+            int depth)
+      : f_(f),
+        rng_(seed),
+        blocks_(blocks),
+        write_share_(write_share),
+        depth_(depth),
+        ranges_(f->array->capacity_blocks() / blocks),
+        acked_id_(ranges_, 0),
+        writing_(ranges_, false) {}
+
+  // Issues reads after each write ack, on top of the mix.
+  void set_read_after_ack(bool on) { read_after_ack_ = on; }
+  void set_write_share(double share) { write_share_ = share; }
+
+  // Writes every range once, in order, at full depth.
+  void Fill() {
+    sequential_ = true;
+    Run(ranges_);
+    sequential_ = false;
+  }
+
+  // Issues `requests` more requests and runs the simulator until idle.
+  void Run(uint64_t requests) {
+    budget_ = issued_ + requests;
+    for (int i = 0; i < depth_; ++i) {
+      Issue();
+    }
+    f_->sim.RunUntilIdle();
+  }
+
+  uint64_t ranges() const { return ranges_; }
+  uint64_t issued() const { return issued_; }
+  uint64_t acked_writes() const { return acked_writes_; }
+  uint64_t write_errors() const { return write_errors_; }
+  uint64_t read_errors() const { return read_errors_; }
+  uint64_t reads_done() const { return reads_done_; }
+  uint64_t stale_reads() const { return stale_reads_; }
+  uint64_t stale_blocks() const { return stale_blocks_; }
+  uint64_t read_hash() const { return read_hash_; }
+
+  // Reads every range back and counts blocks that differ from its latest
+  // acked write.
+  uint64_t VerifyAll() {
+    uint64_t wrong = 0;
+    for (uint64_t r = 0; r < ranges_; ++r) {
+      auto got = f_->ReadSync(r * blocks_, blocks_);
+      if (!got.ok()) {
+        wrong += blocks_;
+        continue;
+      }
+      for (uint64_t i = 0; i < blocks_; ++i) {
+        wrong += (*got)[i] != Pattern(acked_id_[r], i) ? 1 : 0;
+      }
+    }
+    return wrong;
+  }
+
+ private:
+  static uint64_t Pattern(uint64_t id, uint64_t i) {
+    return id == 0 ? 0 : (id << 16) | i;  // id 0: never written
+  }
+
+  void Issue() {
+    if (issued_ >= budget_) {
+      return;
+    }
+    const uint64_t n = issued_++;
+    if (sequential_) {
+      Write(n % ranges_);
+      return;
+    }
+    uint64_t r = rng_.Uniform(ranges_);
+    if (!rng_.Chance(write_share_)) {
+      Read(r, /*counts_toward_depth=*/true);
+      return;
+    }
+    while (writing_[r]) {
+      r = (r + 1) % ranges_;
+    }
+    Write(r);
+  }
+
+  void Write(uint64_t r) {
+    const uint64_t id = ++next_id_;
+    writing_[r] = true;
+    std::vector<uint64_t> patterns(blocks_);
+    for (uint64_t i = 0; i < blocks_; ++i) {
+      patterns[i] = Pattern(id, i);
+    }
+    const uint64_t token = (id << 24) | r;
+    f_->array->SubmitWrite(
+        r * blocks_, std::move(patterns),
+        [this, token](const Status& status) { OnWritten(token, status); },
+        WriteTag::kData);
+  }
+
+  void OnWritten(uint64_t token, const Status& status) {
+    const uint64_t r = token & ((1u << 24) - 1);
+    writing_[r] = false;
+    if (status.ok()) {
+      ++acked_writes_;
+      acked_id_[r] = token >> 24;
+      if (read_after_ack_) {
+        Read(r, /*counts_toward_depth=*/false);
+      }
+    } else {
+      ++write_errors_;
+    }
+    Issue();
+  }
+
+  void Read(uint64_t r, bool counts_toward_depth) {
+    // The token carries the floor the read must see: the range's latest
+    // acked write at issue time.
+    const uint64_t token = (acked_id_[r] << 25) | (r << 1) |
+                           (counts_toward_depth ? 1 : 0);
+    f_->array->SubmitRead(
+        r * blocks_, blocks_,
+        [this, token](const Status& status, std::vector<uint64_t> got) {
+          OnRead(token, status, got);
+        });
+  }
+
+  void OnRead(uint64_t token, const Status& status,
+              const std::vector<uint64_t>& got) {
+    const uint64_t floor = token >> 25;
+    ++reads_done_;
+    if (!status.ok()) {
+      ++read_errors_;
+    } else {
+      uint64_t stale = 0;
+      for (uint64_t i = 0; i < blocks_; ++i) {
+        read_hash_ = (read_hash_ ^ got[i]) * 0x100000001b3ULL;
+        const bool ok = got[i] == Pattern(got[i] >> 16, i) &&
+                        (got[i] >> 16) >= floor;
+        stale += ok ? 0 : 1;
+      }
+      stale_blocks_ += stale;
+      stale_reads_ += stale != 0 ? 1 : 0;
+    }
+    if ((token & 1) != 0) {
+      Issue();
+    }
+  }
+
+  Fixture* f_;
+  Rng rng_;
+  uint64_t blocks_;
+  double write_share_;
+  int depth_;
+  uint64_t ranges_;
+  std::vector<uint64_t> acked_id_;  // per range: latest acked write id
+  std::vector<bool> writing_;       // per range: a write is outstanding
+  bool read_after_ack_ = false;
+  bool sequential_ = false;
+  uint64_t budget_ = 0;
+  uint64_t issued_ = 0;
+  uint64_t next_id_ = 0;
+  uint64_t acked_writes_ = 0;
+  uint64_t write_errors_ = 0;
+  uint64_t read_errors_ = 0;
+  uint64_t reads_done_ = 0;
+  uint64_t stale_reads_ = 0;
+  uint64_t stale_blocks_ = 0;
+  uint64_t read_hash_ = 0xcbf29ce484222325ULL;
+};
+
+// A write that finds no free group parks the rest of its chunks until GC
+// frees one. Its ack must wait for that remainder: acking when the chunks
+// appended before the stall turn durable would let a read issued from the
+// ack callback see the parked blocks' old data.
+TEST(ZapRaid, StalledWriteAcksOnlyAfterWholeRequestIsAppended) {
+  // 32-block zones: groups fill quickly, so writes stall on GC often.
+  Fixture f(ZapRaidConfig{}, /*num_zones=*/48, /*zone_cap=*/32);
+  MixLoop drv(&f, /*seed=*/3, /*blocks=*/10, /*write_share=*/1.0,
+                /*depth=*/12);
+  drv.set_read_after_ack(true);
+  drv.Run(4000);
+  EXPECT_EQ(drv.acked_writes(), 4000u);
+  EXPECT_EQ(drv.write_errors(), 0u);
+  EXPECT_GT(f.array->stats().write_stalls, 0u);
+  EXPECT_EQ(drv.reads_done(), drv.acked_writes());
+  EXPECT_EQ(drv.read_errors(), 0u);
+  EXPECT_EQ(drv.stale_reads(), 0u)
+      << drv.stale_blocks() << " blocks read older than their acked write";
+  EXPECT_EQ(drv.VerifyAll(), 0u);
+  EXPECT_EQ(f.array->PooledSlotsInUse(), 0u);
+  EXPECT_TRUE(f.array->CheckFreeGroupCount().ok());
+}
+
+// The pooled data path allocates per request only what its interfaces
+// hand over (payload and result vectors, device write buffers) plus
+// amortized queue growth: joins, direct block reads and write batches
+// recycle their slots. Measured over a steady-state mix with GC running.
+TEST(ZapRaid, AllocationsPerRequestStayBounded) {
+  ZapRaidConfig config;
+  config.exposed_capacity_ratio = 0.60;
+  Fixture f(config, /*num_zones=*/48, /*zone_cap=*/512);
+  MixLoop drv(&f, /*seed=*/5, /*blocks=*/8, /*write_share=*/0.55,
+                /*depth=*/16);
+  drv.Fill();
+  drv.Run(30000);  // warm-up: GC starts, pools and tables reach peak size
+  ASSERT_GT(f.array->stats().gc_runs, 0u);
+  const uint64_t gc_runs = f.array->stats().gc_runs;
+  constexpr uint64_t kMeasured = 20000;
+  const uint64_t before = g_operator_new_calls;
+  drv.Run(kMeasured);
+  const uint64_t allocs = g_operator_new_calls - before;
+  EXPECT_GT(f.array->stats().gc_runs, gc_runs) << "GC idle while measuring";
+  const double per_request =
+      static_cast<double>(allocs) / static_cast<double>(kMeasured);
+  EXPECT_LE(per_request, 16.0);
+  EXPECT_EQ(drv.stale_reads(), 0u);
+  EXPECT_EQ(drv.read_errors() + drv.write_errors(), 0u);
+  EXPECT_EQ(f.array->PooledSlotsInUse(), 0u);
+  EXPECT_TRUE(f.array->CheckFreeGroupCount().ok());
+  RecordProperty("allocations_per_request", std::to_string(per_request));
+}
+
+// Transient write and read errors, write stalls and a member death with
+// reads in flight exercise every slot path: retries, re-drives, requeues
+// and parked remainders. The run must be bit-identical on a rerun, every
+// acked write must read back, and every slot must be free once drained.
+struct FaultedRun {
+  std::string fingerprint;
+  uint64_t wrong_blocks = 0;
+  uint64_t stale_reads = 0;
+  uint64_t read_errors = 0;
+  uint64_t write_errors = 0;
+  uint64_t unavailable_rejections = 0;
+  uint64_t slots_in_use = 0;
+  bool free_groups_ok = false;
+  ZapRaidStats stats;
+};
+
+FaultedRun RunFaulted() {
+  Fixture f(ZapRaidConfig{}, /*num_zones=*/48, /*zone_cap=*/32);
+  MixLoop drv(&f, /*seed=*/9, /*blocks=*/6, /*write_share=*/0.7,
+                /*depth=*/12);
+  f.fault.AddWriteErrors(1, 3);  // within max_io_retries: transient
+  f.fault.AddReadErrors(0, 3);
+  drv.Run(4000);
+  // The member dies with reads outstanding: their direct legs fail
+  // kUnavailable and re-drive through the host copy or parity.
+  drv.set_write_share(0.0);
+  f.fault.KillDeviceAt(3, f.sim.Now() + 20 * kMicrosecond);
+  drv.Run(1000);
+  FaultedRun out;
+  out.stale_reads = drv.stale_reads();
+  out.read_errors = drv.read_errors();
+  out.write_errors = drv.write_errors();
+  out.unavailable_rejections = f.fault.stats().unavailable_rejections;
+  out.wrong_blocks = drv.VerifyAll();
+  out.slots_in_use = f.array->PooledSlotsInUse();
+  out.free_groups_ok = f.array->CheckFreeGroupCount().ok();
+  out.stats = f.array->stats();
+  std::ostringstream fp;
+  const ZapRaidStats& s = out.stats;
+  fp << f.sim.Now() << ' ' << f.sim.fired_events() << ' ' << drv.read_hash()
+     << ' ' << s.appended_chunks << ' ' << s.parity_writes << ' '
+     << s.pad_writes << ' ' << s.requeued_chunks << ' ' << s.gc_runs << ' '
+     << s.gc_migrated_data << ' ' << s.degraded_reads << ' '
+     << s.write_retries << ' ' << s.read_retries << ' ' << s.write_stalls;
+  for (const auto& dev : f.devs) {
+    fp << ' ' << dev->stats().flash_programmed_blocks << '/'
+       << dev->stats().host_read_blocks;
+  }
+  out.fingerprint = fp.str();
+  return out;
+}
+
+TEST(ZapRaid, FaultedRunIsBitIdenticalAndLosesNoAckedWrite) {
+  const FaultedRun a = RunFaulted();
+  EXPECT_GT(a.stats.write_retries, 0u);
+  EXPECT_GT(a.stats.read_retries, 0u);
+  EXPECT_GT(a.stats.write_stalls, 0u);
+  EXPECT_GT(a.stats.degraded_reads, 0u);
+  EXPECT_GT(a.unavailable_rejections, 0u);
+  EXPECT_EQ(a.write_errors, 0u);
+  EXPECT_EQ(a.read_errors, 0u);
+  EXPECT_EQ(a.stale_reads, 0u);
+  EXPECT_EQ(a.wrong_blocks, 0u);
+  EXPECT_EQ(a.slots_in_use, 0u);
+  EXPECT_TRUE(a.free_groups_ok);
+  const FaultedRun b = RunFaulted();
+  EXPECT_EQ(a.fingerprint, b.fingerprint);
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #   biza engine     src/biza (except the two below), src/raid
 #   ghost_cache     src/biza/ghost_cache.*
 #   zone_scheduler  src/biza/zone_scheduler.*
+#   zapraid         src/zapraid
 #   zns             src/zns, src/nvme, src/fault
 #   nand            src/nand
 #   metrics         src/metrics
@@ -75,6 +76,7 @@ RULES = [
     ("zone_scheduler", "src/biza/zone_scheduler."),
     ("biza engine", "src/biza/"),
     ("biza engine", "src/raid/"),
+    ("zapraid", "src/zapraid/"),
     ("sim", "src/sim/"),
     ("zns", "src/zns/"),
     ("zns", "src/nvme/"),
